@@ -68,15 +68,10 @@ def _run(cluster):
         elapsed = time.monotonic() - start
         consumed = len(KeraConsumer(cluster, 0, [0]).drain())
         chunks = sum(b.chunks_ingested for b in cluster.brokers.values())
-        if isinstance(cluster, ProcessKeraCluster):
-            backup_chunks = sum(
-                cluster.backup_stats(node)["chunks_received"]
-                for node in cluster.system.node_ids
-            )
-        else:
-            backup_chunks = sum(
-                b.store.chunks_received for b in cluster.backups.values()
-            )
+        backup_chunks = sum(
+            cluster.backup_stats(node)["chunks_received"]
+            for node in cluster.system.node_ids
+        )
     return elapsed, consumed, chunks, backup_chunks
 
 

@@ -8,8 +8,8 @@ Two faces, matching the other live benches:
   1000-connection gateway smoke (zero acked-record loss is asserted, not
   sampled);
 * **CLI**: records a ``sockets`` row plus a ``sockets-baseline`` row
-  (the same ship harness over the shared-memory ``ProcessTransport``
-  ring, measured back to back so the ratio cancels machine speed) into
+  (the same ship harness over the shared-memory ring pipe,
+  measured back to back so the ratio cancels machine speed) into
   ``BENCH_datapath.json`` for ``scripts/perf_compare.py`` —
 
   - ``replication_ship``: chunks/s through the paper workload's
@@ -54,12 +54,12 @@ except ModuleNotFoundError:  # pragma: no cover
 
 from repro.common.units import KB, MB, fmt_rate
 from repro.replication.config import ReplicationConfig
-from repro.runtime.socket_transport import SocketServiceSpec, SocketTransport
+from repro.runtime import ProcessServiceSpec, SocketServiceSpec, WorkerTransport
 from repro.storage.config import StorageConfig
 from repro.kera import KeraConfig, KeraConsumer, KeraProducer
 from repro.kera.messages import ReplicateRequest
-from repro.kera.process import ProcessBackupWorker, ProcessKeraCluster
-from repro.runtime.process import ProcessServiceSpec, ProcessTransport
+from repro.kera.backup_service import BackupService
+from repro.kera.process import ProcessKeraCluster
 from repro.kera.socket_cluster import SocketKeraCluster
 from repro.gateway import AsyncConsumer, AsyncGatewayClient, AsyncProducer, GatewayServer
 from repro.wire.chunk import ChunkBuilder
@@ -120,29 +120,17 @@ def _ship_transport(kind: str):
     """
     worker_kwargs = {"node_id": 9, "materialize": True, "flush_threshold": 1 << 62}
     if kind == "sockets":
-        transport = SocketTransport(call_timeout=30.0, write_timeout=30.0)
-        transport.register(
-            9,
-            "backup",
-            SocketServiceSpec(
-                factory=ProcessBackupWorker,
-                kwargs=worker_kwargs,
-                window_bytes=8 * MB,
-            ),
+        spec = SocketServiceSpec(
+            factory=BackupService.in_worker, kwargs=worker_kwargs, window_bytes=8 * MB
         )
     elif kind == "process":
-        transport = ProcessTransport(call_timeout=30.0, write_timeout=30.0)
-        transport.register(
-            9,
-            "backup",
-            ProcessServiceSpec(
-                factory=ProcessBackupWorker,
-                kwargs=worker_kwargs,
-                ring_bytes=8 * MB,
-            ),
+        spec = ProcessServiceSpec(
+            factory=BackupService.in_worker, kwargs=worker_kwargs, ring_bytes=8 * MB
         )
     else:  # pragma: no cover - caller bug
         raise ValueError(f"unknown transport kind {kind!r}")
+    transport = WorkerTransport(call_timeout=30.0, write_timeout=30.0)
+    transport.register(9, "backup", spec)
     transport.start()
     return transport
 
@@ -567,7 +555,7 @@ def main(argv: list[str] | None = None) -> int:
 
     baseline = ship = None
     if not args.gateway_only:
-        # The shared-memory ProcessTransport baseline and the TCP
+        # The shared-memory ring baseline and the TCP
         # candidate are measured back to back with the same harness and
         # workload, so the recorded ratio (the 0.5x acceptance gate) is
         # insensitive to how fast this particular machine happens to be.

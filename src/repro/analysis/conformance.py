@@ -17,9 +17,12 @@ here:
 * the ``PipelinedShipper`` driver surface (``kick``/``stop``/
   ``in_flight_batches``) keeps its zero-argument shape — cluster
   drivers and drain paths poke the shipper through exactly these;
-* the ``SocketTransport`` surface — the Transport methods plus the
-  ``listen_address``/``connection_count`` operator entry points that
-  ``run_cluster.py`` and the gateway drivers reach through;
+* the ``WorkerTransport`` surface (also under its ``SocketTransport``
+  name) — the Transport methods plus the ``listen_address`` /
+  ``connection_count`` / ``worker_pid`` operator entry points that
+  ``run_cluster.py``, the gateway drivers and chaos tooling reach
+  through — and the ``LiveKeraCluster`` produce and ``backup_*``
+  operator surface;
 * every override of a protocol method keeps the protocol's signature:
   same positional parameter names in order, defaults preserved, required
   keyword-only parameters present (extras allowed only with defaults).
@@ -33,7 +36,7 @@ from __future__ import annotations
 
 import ast
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.analysis.core import Finding, ModuleSet
 
@@ -53,25 +56,46 @@ class MethodSpec:
     required: bool = False
 
 
+_TRANSPORT: dict[str, MethodSpec] = {
+    "register": MethodSpec(
+        ("node_id", "name", "service"), kwonly=("workers",), required=True
+    ),
+    "call": MethodSpec(
+        ("src", "dst", "service", "method", "request", "request_bytes"),
+        defaults=1,
+        required=True,
+    ),
+    "call_async": MethodSpec(
+        ("src", "dst", "service", "method", "request", "request_bytes"),
+        defaults=1,
+        kwonly=("on_done",),
+    ),
+    "credit": MethodSpec(("dst", "service")),
+    "start": MethodSpec(()),
+    "shutdown": MethodSpec(()),
+}
+
+# The worker transport's full surface, pinned by name. Because a class
+# specced here skips the base-class walk, the spec carries the Transport
+# methods itself — derived from the spec above, so the two cannot drift —
+# plus the operator entry points `run_cluster.py`, the gateway drivers
+# and the chaos tooling reach through.
+_WORKER_LINKS: dict[str, MethodSpec] = {
+    **{name: replace(spec, required=False) for name, spec in _TRANSPORT.items()},
+    "listen_address": MethodSpec(()),
+    "connection_count": MethodSpec(()),
+}
+
 PROTOCOLS: dict[str, dict[str, MethodSpec]] = {
-    "Transport": {
-        "register": MethodSpec(
-            ("node_id", "name", "service"), kwonly=("workers",), required=True
-        ),
-        "call": MethodSpec(
-            ("src", "dst", "service", "method", "request", "request_bytes"),
-            defaults=1,
-            required=True,
-        ),
-        "call_async": MethodSpec(
-            ("src", "dst", "service", "method", "request", "request_bytes"),
-            defaults=1,
-            kwonly=("on_done",),
-        ),
-        "credit": MethodSpec(("dst", "service")),
-        "start": MethodSpec(()),
-        "shutdown": MethodSpec(()),
+    "Transport": _TRANSPORT,
+    "WorkerTransport": {
+        **_WORKER_LINKS,
+        "worker_pid": MethodSpec(("node_id", "service")),
     },
+    # The same class under its TCP-era name (`SocketTransport =
+    # WorkerTransport` in runtime/socket_transport.py): any class
+    # *defined* by this name is held to the listener surface.
+    "SocketTransport": _WORKER_LINKS,
     # Not a base protocol but a pinned driver surface: every cluster
     # driver pokes the shipper through exactly these entry points, so the
     # spec holds them still even though the class derives only Thread.
@@ -79,30 +103,6 @@ PROTOCOLS: dict[str, dict[str, MethodSpec]] = {
         "kick": MethodSpec(()),
         "stop": MethodSpec(()),
         "in_flight_batches": MethodSpec(()),
-    },
-    # The socket transport's full surface, pinned by name. Because it is
-    # specced here, the base-class walk is skipped for it — so this spec
-    # repeats the Transport methods verbatim (they must stay in lockstep
-    # with the "Transport" spec above) and adds the two operator entry
-    # points `run_cluster.py` and the gateway drivers depend on.
-    "SocketTransport": {
-        "register": MethodSpec(
-            ("node_id", "name", "service"), kwonly=("workers",)
-        ),
-        "call": MethodSpec(
-            ("src", "dst", "service", "method", "request", "request_bytes"),
-            defaults=1,
-        ),
-        "call_async": MethodSpec(
-            ("src", "dst", "service", "method", "request", "request_bytes"),
-            defaults=1,
-            kwonly=("on_done",),
-        ),
-        "credit": MethodSpec(("dst", "service")),
-        "start": MethodSpec(()),
-        "shutdown": MethodSpec(()),
-        "listen_address": MethodSpec(()),
-        "connection_count": MethodSpec(()),
     },
     # The live cluster's produce surface, pinned by name: the gateway's
     # coalescer and every driver's client path call through exactly
@@ -119,6 +119,21 @@ PROTOCOLS: dict[str, dict[str, MethodSpec]] = {
             ("broker_id", "chunks", "producer_id", "on_complete"),
             kwonly=("on_append",),
         ),
+        # The backup operator surface: recovery, restart and the failover
+        # plane reach every driver's backups through exactly these, and
+        # each is one call on the node's "backup" binding — written once,
+        # here, never per driver.
+        "backup_stats": MethodSpec(("node_id",)),
+        "flush_lag_bytes": MethodSpec(("node_id",)),
+        "segments_on_disk": MethodSpec(("node_id",)),
+        "wait_flush_idle": MethodSpec(("timeout",), defaults=1),
+        "backup_sync_flush": MethodSpec(("node_id",)),
+        "backup_recovery_chunks": MethodSpec(("node_id", "failed_broker")),
+        "backup_load_disk": MethodSpec(("node_id",), kwonly=("parallel",)),
+        "backup_loaded_brokers": MethodSpec(("node_id",)),
+        "backup_disk_recovery_chunks": MethodSpec(("node_id", "failed_broker")),
+        "backup_retire_epochs": MethodSpec(("node_id",)),
+        "backup_drop_broker": MethodSpec(("node_id", "failed_broker")),
     },
     # The failover plane's entry points, pinned by name: the shipper's
     # repair path reaches recovery through `note_node_failure` (via

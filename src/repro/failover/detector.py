@@ -134,7 +134,15 @@ class FailureDetector:
             self._wake.clear()
             if self._stopping.is_set():
                 return
+            started = time.monotonic()
             self._deliver()
+            # ``on_down`` runs a whole recovery on this thread, and no
+            # ping goes out meanwhile: a lease must not run down over
+            # time in which nobody could have renewed it.
+            away = time.monotonic() - started
+            with self._lock:
+                for node in self._leases:
+                    self._leases[node] += away
             self._heartbeat()
 
     def _deliver(self) -> None:

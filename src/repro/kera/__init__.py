@@ -36,6 +36,7 @@ from repro.kera.messages import (
 )
 from repro.kera.broker import KeraBrokerCore, ProduceOutcome
 from repro.kera.backup import KeraBackupCore
+from repro.kera.backup_service import BackupService
 from repro.kera.coordinator import Coordinator, StreamMetadata
 from repro.kera.live import LiveKeraCluster
 from repro.kera.inproc import InprocKeraCluster
@@ -65,6 +66,7 @@ __all__ = [
     "KeraBrokerCore",
     "ProduceOutcome",
     "KeraBackupCore",
+    "BackupService",
     "Coordinator",
     "StreamMetadata",
     "LiveKeraCluster",

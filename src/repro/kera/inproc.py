@@ -20,7 +20,7 @@ from repro.common.errors import ConfigError, ReplicationError
 from repro.runtime.inproc import InprocTransport
 from repro.runtime.transport import LiveService
 from repro.kera.config import KeraConfig
-from repro.kera.live import LiveBackupService, LiveKeraCluster
+from repro.kera.live import LiveKeraCluster
 from repro.kera.messages import ProduceRequest
 
 
@@ -70,7 +70,9 @@ class InprocKeraCluster(LiveKeraCluster):
     def __init__(self, config: KeraConfig | None = None) -> None:
         super().__init__(config, InprocTransport())
 
-    def _register_services(self) -> None:
-        for node in self.system.node_ids:
-            self.transport.register(node, "broker", _InprocBrokerService(self, node))
-            self.transport.register(node, "backup", LiveBackupService(self, node))
+    def _broker_service(self, node_id: int) -> object:
+        return _InprocBrokerService(self, node_id)
+
+    def _backup_binding(self, node_id: int) -> object:
+        # Inline flushes: this driver stays single-threaded.
+        return self._local_backup(node_id, async_flush=False)

@@ -8,10 +8,12 @@ to leaders over the transport, and exposes the surface recovery and
 migration drive (``brokers``/``backups``/``coordinator``/
 ``pump_replication``/``crash_broker``).
 
-Subclasses register their transport-specific service wrappers in
-:meth:`_register_services`; the backup-side effect handler
-(:class:`LiveBackupService` — ingest a replicate RPC, schedule flushes)
-is shared.
+Subclasses register their transport-specific broker wrappers in
+:meth:`_register_services`. The backup side is the same on every driver:
+a :class:`~repro.kera.backup_service.BackupService` bound to
+``(node, "backup")`` — as a live object or as a worker-process spec —
+so the transport is the one handle to a backup, and every operator
+method below is a single ``transport.call``.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from collections import defaultdict
 from collections.abc import Callable
 
 from repro.common.errors import (
-    ConfigError,
     NotLeaderError,
     ReplicationError,
     StorageError,
@@ -30,9 +31,9 @@ from repro.common.errors import (
 from repro.common.idgen import IdGenerator
 from repro.runtime.runtime import ClusterRuntime
 from repro.runtime.system import KeraSystem
-from repro.runtime.transport import LiveService, Transport
-from repro.kera.backup import FlushWork, KeraBackupCore
-from repro.persist import BackupFlusher
+from repro.runtime.transport import Transport
+from repro.kera.backup import KeraBackupCore
+from repro.kera.backup_service import BackupService
 from repro.kera.broker import KeraBrokerCore
 from repro.kera.config import KeraConfig
 from repro.kera.messages import (
@@ -84,41 +85,6 @@ class _AsyncProduce:
         self.done = False  # checked-and-set under the owning cluster's _async_lock
 
 
-class LiveBackupService(LiveService):
-    """Backup effect handler: ingest replicate RPCs, schedule flushes.
-
-    With a flusher thread registered for the node (threaded driver with
-    a persist dir), flush work is submitted asynchronously and the ack
-    returns without touching the disk — the paper's ack-from-buffer,
-    flush-async semantics. Without one (inproc driver), flushes run
-    inline, keeping that driver single-threaded and deterministic.
-    """
-
-    def __init__(self, cluster: "LiveKeraCluster", node_id: int) -> None:
-        self.cluster = cluster
-        self.node_id = node_id
-        self.core: KeraBackupCore = cluster.backups[node_id]
-        self._lock = threading.Lock()
-
-    def handle(self, method: str, request: object) -> object:
-        if method != "replicate":
-            raise ConfigError(f"unknown backup method {method!r}")
-        with self._lock:
-            response, flush = self.core.handle_replicate(request)
-            works = self.core.take_sealed_flushes()
-            if flush is not None:
-                works.append(flush)
-            if works:
-                flusher = self.cluster.flusher_for(self.node_id)
-                for work in works:
-                    self.cluster._record_flush()
-                    if flusher is not None:
-                        flusher.submit(work, work.nbytes)
-                    else:
-                        self.core.persist(work)
-        return response
-
-
 class LiveKeraCluster:
     """A whole KerA cluster in one process, behind one transport."""
 
@@ -135,33 +101,48 @@ class LiveKeraCluster:
         self.runtime = ClusterRuntime(self.system, transport)
         self.coordinator = self.runtime.coordinator
         self._id_lock = threading.Lock()
-        self._flush_lock = threading.Lock()
         self._failed_lock = threading.Lock()
         self._request_ids = IdGenerator()  # guarded-by: _id_lock
-        self.flushes_scheduled = 0  # guarded-by: _flush_lock
         self._failed: set[int] = set()  # guarded-by: _failed_lock
         self._async_lock = threading.Lock()
         # broker -> request_id -> in-flight async produce state.
         self._async_produces: dict[int, dict[int, _AsyncProduce]] = {}  # guarded-by: _async_lock
-        self._flushers: dict[int, "BackupFlusher[FlushWork]"] = {}
-        self._persistence_drained = False
+        # Backup services this process hosts as live objects (worker
+        # processes close their own): closed after the transport stops.
+        self._local_backups: list[BackupService] = []
+        self._drain_on_close = True
         # The live failover plane, when installed (repro.failover.plane).
         # The cluster never imports it: the dependency points failover →
         # kera, keeping this module free of signal/process machinery.
         self._failover = None
-        self._start_flushers()
         self._register_services()
         self.runtime.start()
 
     # -- subclass hooks -----------------------------------------------------------
 
-    def _register_services(self) -> None:  # pragma: no cover - interface
+    def _register_services(self) -> None:
+        for node in self.system.node_ids:
+            self.transport.register(node, "broker", self._broker_service(node))
+            # One worker: the backup core stays single-threaded.
+            self.transport.register(
+                node, "backup", self._backup_binding(node), workers=1
+            )
+
+    def _broker_service(self, node_id: int) -> object:  # pragma: no cover - interface
+        """The driver's broker wrapper for one node."""
         raise NotImplementedError
 
-    def _start_flushers(self) -> None:
-        """Create per-backup flusher threads (concurrent drivers with a
-        persist dir). The base cluster persists inline: the synchronous
-        inproc driver stays deterministic."""
+    def _backup_binding(self, node_id: int) -> object:  # pragma: no cover - interface
+        """What hosts one node's backup: a :meth:`_local_backup` live
+        object, or a worker-process spec."""
+        raise NotImplementedError
+
+    def _local_backup(self, node_id: int, *, async_flush: bool) -> BackupService:
+        """A backup service over this process's core for ``node_id``,
+        to register as a live object."""
+        service = BackupService(self.backups[node_id], async_flush=async_flush)
+        self._local_backups.append(service)
+        return service
 
     # -- core access --------------------------------------------------------------
 
@@ -177,86 +158,73 @@ class LiveKeraCluster:
         with self._id_lock:
             return self._request_ids.next()
 
-    def _record_flush(self) -> None:
-        with self._flush_lock:
-            self.flushes_scheduled += 1
+    # -- backup operator surface ---------------------------------------------------
+    # Every call goes through the node's "backup" binding, whatever hosts
+    # it: the binding's one worker (or the service lock) serializes it
+    # with replicate traffic, and a backup in another address space
+    # needs no second implementation.
 
-    # -- durable tier --------------------------------------------------------------
+    def _backup_call(self, node_id: int, op: str, arg: object = None):
+        return self.transport.call(CLIENT_NODE, node_id, "backup", op, arg)
 
-    def flusher_for(self, node_id: int) -> "BackupFlusher[FlushWork] | None":
-        return self._flushers.get(node_id)
+    def backup_stats(self, node_id: int) -> dict[str, int]:
+        """Backup-side accounting (store counters, flush gauges)."""
+        return self._backup_call(node_id, "stats")
+
+    @property
+    def flushes_scheduled(self) -> int:
+        return sum(self.backup_stats(n)["flushes"] for n in self.system.node_ids)
 
     def flush_lag_bytes(self, node_id: int) -> int:
         """Bytes acked by the node's backup but not yet written to disk."""
-        flusher = self._flushers.get(node_id)
-        return 0 if flusher is None else flusher.flush_lag_bytes
+        return int(self.backup_stats(node_id)["flush_lag_bytes"])
 
     def segments_on_disk(self, node_id: int) -> int:
-        return self.backups[node_id].segments_on_disk
+        return int(self.backup_stats(node_id)["segments_on_disk"])
 
     def wait_flush_idle(self, timeout: float | None = None) -> bool:
         """Block until every backup's flush queue is drained."""
-        ok = True
-        for flusher in self._flushers.values():
-            ok = flusher.wait_idle(timeout) and ok
-        return ok
+        deadline = None if timeout is None else time.monotonic() + timeout
+        for node_id in self.system.node_ids:
+            while not self._backup_call(node_id, "flush_idle"):
+                if deadline is not None and time.monotonic() >= deadline:
+                    return False
+                time.sleep(0.002)
+        return True
 
     def backup_sync_flush(self, node_id: int) -> int:
         """Force one backup's unflushed tail to disk, fsync'd regardless
-        of policy; returns its segment-file count. Call only while no
-        replicate traffic is in flight for the node."""
-        core = self.backups[node_id]
-        works = core.drain_flush()
-        flusher = self._flushers.get(node_id)
-        if flusher is not None:
-            for work in works:
-                flusher.submit(work, work.nbytes)
-            flusher.wait_idle(30.0)
-            flusher.check()
-        else:
-            for work in works:
-                core.persist(work)
-        if core.persistence is not None:
-            core.persistence.sync_all()
-        return core.segments_on_disk
-
-    # -- recovery / restart accessors ----------------------------------------------
-    # Routed through the cluster so drivers whose backup cores live in
-    # another address space (process mode) can override with RPCs.
+        of policy; returns its segment-file count."""
+        return self._backup_call(node_id, "sync_flush")
 
     def backup_recovery_chunks(
         self, node_id: int, failed_broker: int
     ) -> list[tuple[int, list[Chunk]]]:
         """A backup's held chunks for a crashed broker (live recovery)."""
-        return self.backups[node_id].recovery_chunks(failed_broker)
+        return self._backup_call(node_id, "recovery_chunks", failed_broker)
 
     def backup_load_disk(self, node_id: int, *, parallel: int = 4) -> dict:
         """Re-ingest a backup's segment files; returns a summary dict."""
-        report = self.backups[node_id].load_from_disk(parallel=parallel)
-        return {
-            "segments": len(report.segments),
-            "chunks_loaded": report.chunks_loaded,
-            "bytes_truncated": report.bytes_truncated,
-            "files_scanned": report.files_scanned,
-            "files_skipped": report.files_skipped,
-            "files_superseded": report.files_superseded,
-            "indexes_rebuilt": report.indexes_rebuilt,
-            "epochs_loaded": list(report.epochs_loaded),
-        }
+        return self._backup_call(node_id, "load_disk", parallel)
 
     def backup_loaded_brokers(self, node_id: int) -> list[int]:
         """Source brokers a restarted backup holds disk data for."""
-        return self.backups[node_id].loaded_brokers()
+        return self._backup_call(node_id, "loaded_brokers")
 
     def backup_disk_recovery_chunks(
         self, node_id: int, failed_broker: int
     ) -> list[tuple[int, list[Chunk]]]:
         """A restarted backup's disk-loaded chunks for a prior broker."""
-        return self.backups[node_id].disk_recovery_chunks(failed_broker)
+        return self._backup_call(node_id, "disk_recovery_chunks", failed_broker)
 
     def backup_retire_epochs(self, node_id: int) -> None:
         """Drop a backup's loaded generation after a completed restore."""
-        self.backups[node_id].retire_loaded_epochs()
+        self._backup_call(node_id, "retire_epochs")
+
+    def backup_drop_broker(self, node_id: int, failed_broker: int) -> int:
+        """Discard a recovered broker's segments on one backup; returns
+        bytes freed."""
+        return self._backup_call(node_id, "drop_broker", failed_broker)
 
     # -- cluster management --------------------------------------------------------
 
@@ -266,6 +234,14 @@ class LiveKeraCluster:
 
     def leader_of(self, stream_id: int, streamlet_id: int) -> int:
         return self.runtime.leader_of(stream_id, streamlet_id)
+
+    def _by_leader(self, items: list) -> dict[int, list]:
+        """Group chunks or fetch positions by their streamlet's leader,
+        in broker-id order."""
+        groups: dict[int, list] = defaultdict(list)
+        for item in items:
+            groups[self.leader_of(item.stream_id, item.streamlet_id)].append(item)
+        return dict(sorted(groups.items()))
 
     # -- produce path ----------------------------------------------------------------
 
@@ -362,12 +338,9 @@ class LiveKeraCluster:
         for each; ``on_complete`` fires once per broker touched as its
         response becomes durable. No caller thread blocks. Returns the
         number of broker submissions (= expected callbacks)."""
-        by_broker: dict[int, list[Chunk]] = defaultdict(list)
-        for chunk in chunks:
-            leader = self.leader_of(chunk.stream_id, chunk.streamlet_id)
-            by_broker[leader].append(chunk)
-        for broker_id in sorted(by_broker):
-            self.submit_produce(broker_id, by_broker[broker_id], producer_id, on_complete)
+        by_broker = self._by_leader(chunks)
+        for broker_id, batch in by_broker.items():
+            self.submit_produce(broker_id, batch, producer_id, on_complete)
         return len(by_broker)
 
     def produce(self, chunks: list[Chunk], producer_id: int) -> list[ProduceResponse]:
@@ -376,16 +349,12 @@ class LiveKeraCluster:
 
         A thin blocking wrapper over :meth:`submit_produce`: the caller
         parks on one event while the completion path does the work."""
-        by_broker: dict[int, list[Chunk]] = defaultdict(list)
-        for chunk in chunks:
-            leader = self.leader_of(chunk.stream_id, chunk.streamlet_id)
-            by_broker[leader].append(chunk)
-        order = sorted(by_broker)
-        slots: list[ProduceResponse | None] = [None] * len(order)
+        by_broker = self._by_leader(chunks)
+        slots: list[ProduceResponse | None] = [None] * len(by_broker)
         errors: list[BaseException] = []
         done = threading.Event()
         lock = threading.Lock()
-        pending = len(order)
+        pending = len(by_broker)
 
         def callback_for(index: int) -> ProduceCallback:
             def on_complete(
@@ -403,10 +372,8 @@ class LiveKeraCluster:
 
             return on_complete
 
-        for index, broker_id in enumerate(order):
-            self.submit_produce(
-                broker_id, by_broker[broker_id], producer_id, callback_for(index)
-            )
+        for index, (broker_id, batch) in enumerate(by_broker.items()):
+            self.submit_produce(broker_id, batch, producer_id, callback_for(index))
         # submit_produce enforces ack_timeout itself (shipper sweep); the
         # wait here is a backstop with headroom so the typed timeout error
         # from the completion path wins the race.
@@ -526,15 +493,12 @@ class LiveKeraCluster:
         serve_views: bool = False,
     ) -> list[FetchResponse]:
         """Fetch durable chunks, grouping positions by leader."""
-        by_broker: dict[int, list[FetchPosition]] = defaultdict(list)
-        for pos in positions:
-            by_broker[self.leader_of(pos.stream_id, pos.streamlet_id)].append(pos)
         responses = []
-        for broker_id in sorted(by_broker):
+        for broker_id, group in self._by_leader(positions).items():
             request = FetchRequest(
                 request_id=self._next_request_id(),
                 consumer_id=consumer_id,
-                positions=by_broker[broker_id],
+                positions=group,
                 max_chunks_per_entry=max_chunks_per_entry,
                 serve_views=serve_views,
             )
@@ -600,13 +564,10 @@ class LiveKeraCluster:
                 state, None, NotLeaderError(stream_id, streamlet_id, None)
             )
 
-    def repair_backups_for(self, failed_node: int) -> None:
-        """Restore copy counts after a node loss: every surviving broker
-        swaps the dead node out of its virtual segments and re-ships the
-        durable prefixes to the replacements. The base implementation
-        sends synchronously (inproc); shipper-driven clusters route the
-        repair through each survivor's shipper thread so a backup's
-        per-vseg arrival order always matches one thread's ship order."""
+    def _ship_repairs(self, failed_node: int) -> None:
+        """Every surviving broker swaps ``failed_node`` out of its
+        virtual segments and re-ships the durable prefixes to the
+        replacements, synchronously from the calling thread."""
         with self._failed_lock:
             failed = set(self._failed)
         for survivor_id, broker in self.brokers.items():
@@ -619,11 +580,12 @@ class LiveKeraCluster:
                 for backup_node in batch.backups:
                     send(backup_node, request)
 
-    def backup_drop_broker(self, node_id: int, failed_broker: int) -> int:
-        """Discard a recovered broker's segments on one backup; returns
-        bytes freed. Routed through the cluster so drivers whose backups
-        live in another process can override with an RPC."""
-        return self.backups[node_id].store.drop_broker(failed_broker)
+    def repair_backups_for(self, failed_node: int) -> None:
+        """Restore copy counts after a node loss. The base implementation
+        sends synchronously (inproc); shipper-driven clusters route the
+        repair through each survivor's shipper thread so a backup's
+        per-vseg arrival order always matches one thread's ship order."""
+        self._ship_repairs(failed_node)
 
     # -- failure injection -------------------------------------------------------------------
 
@@ -632,20 +594,10 @@ class LiveKeraCluster:
         if broker_id not in self.brokers:
             raise StorageError(f"unknown broker {broker_id}")
         # Shipper threads consult _failed on every replicate RPC; the
-        # mutation (and the survivor snapshot) must not race them.
+        # mutation must not race them.
         with self._failed_lock:
             self._failed.add(broker_id)
-            failed = set(self._failed)
-        for survivor_id, broker in self.brokers.items():
-            if survivor_id in failed:
-                continue
-            repairs = broker.handle_backup_failure(broker_id)
-            # Ship repair batches to the replacement backups.
-            send = self._replication_send(survivor_id)
-            for batch in repairs:
-                request = self.system.replicate_request(survivor_id, batch)
-                for backup_node in batch.backups:
-                    send(backup_node, request)
+        self._ship_repairs(broker_id)
 
     @property
     def live_broker_ids(self) -> list[int]:
@@ -655,43 +607,20 @@ class LiveKeraCluster:
 
     # -- lifecycle ----------------------------------------------------------------------------
 
-    def _drain_persistence(self) -> None:
-        """Flush every backup's unflushed tail and close the segment files.
-
-        Called once, after the transport stopped delivering replicate
-        RPCs, so nothing races the cores. Flusher threads drain their
-        queues before stopping; a clean close syncs unless the policy is
-        ``never``.
-        """
-        if self._persistence_drained:
-            return
-        self._persistence_drained = True
-        for node_id in sorted(self.backups):
-            core = self.backups[node_id]
-            flusher = self._flushers.get(node_id)
-            works = core.drain_flush()
-            if flusher is not None:
-                for work in works:
-                    flusher.submit(work, work.nbytes)
-                flusher.stop(drain=True)
-            else:
-                for work in works:
-                    core.persist(work)
-            core.close_persistence()
-
     def shutdown(self) -> None:
         self.runtime.shutdown()
-        self._drain_persistence()
+        # The transport no longer delivers replicate RPCs, so nothing
+        # races the cores: drain flushers, close segment files.
+        for service in self._local_backups:
+            service.close(drain=self._drain_on_close)
 
     def simulate_power_loss(self) -> None:
         """Crash-test hook: stop the cluster *without* the durable tier's
         clean drain/close. Segment files keep exactly what the fsync
         policy already pushed — the state a process kill leaves behind —
         so restart tests and demos can prove recovery from it."""
-        self._persistence_drained = True  # makes the clean drain a no-op
+        self._drain_on_close = False
         self.shutdown()
-        for flusher in self._flushers.values():
-            flusher.stop(drain=False)
 
     def __enter__(self) -> "LiveKeraCluster":
         return self

@@ -1,269 +1,54 @@
 """Process-parallel KerA cluster: backups in worker processes.
 
-:class:`ProcessKeraCluster` is the threaded cluster with its backup
-services re-homed into child processes behind
-:class:`repro.runtime.process.ProcessTransport`: every node's broker
-service stays on in-process worker threads, while its backup/replica
-service runs in a worker process fed by a shared-memory request ring.
-Replication frames are written straight from the broker's segment views
-into the ring (the single boundary copy) and re-validated — CRC work on
-another core — by the child before landing in its store. The pipelined
-shipper throttles on the ring's free bytes via ``Transport.credit``.
+:class:`ProcessKeraCluster` is the threaded cluster with each node's
+backup service re-homed into a child process behind the shared-memory
+ring pipe (:mod:`repro.runtime.process` says what that pipe does):
+broker services stay on in-process worker threads, and CRC
+re-validation plus backup appends run on another core.
 
 The division of state is strict: the *child* owns the node's
 :class:`~repro.kera.backup.KeraBackupCore` outright (the parent's
 ``system.backup_cores`` entries exist but see no traffic in this mode),
 including its durable tier — the child runs its own flusher thread and
-fsync policy, and drains both when the transport closes its rings.
-Backup-side accounting crosses back through the ``stats`` RPC (now
-including ``flush_lag_bytes`` and ``segments_on_disk``), and recovery /
-restart reads cross through dedicated RPCs (``recovery_chunks``,
-``load_disk``, ``disk_recovery_chunks``) — chunks decoded from disk
-carry plain byte payloads, so they pickle cleanly.
-
-Failure injection: :meth:`crash_broker` works — repair batches ship over
-the rings like any other replicate RPC.
+fsync policy, and drains both when the transport closes its pipe.
+Nothing else differs from the threaded driver: the cluster's operator
+surface (``backup_stats``, recovery and restart reads, forced flushes)
+already goes through the ``"backup"`` binding, and chunks decoded from
+disk carry plain byte payloads, so they pickle cleanly.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-from repro.common.errors import ConfigError
 from repro.common.units import MB
-from repro.persist import BackupFlusher
 from repro.runtime.process import ProcessServiceSpec, ProcessTransport
-from repro.runtime.transport import LiveService, Transport
-from repro.kera.backup import FlushWork, KeraBackupCore
+from repro.kera.backup_service import BackupService
 from repro.kera.config import KeraConfig
-from repro.kera.live import CLIENT_NODE
-from repro.kera.threaded import ThreadedKeraCluster, _ThreadedBrokerService
-from repro.wire.chunk import Chunk
-
-
-class ProcessBackupWorker(LiveService):
-    """Runs in the child process: owns one node's backup core outright.
-
-    Constructed by the transport *in the child* (the parent pickles only
-    this class and the kwargs), so the core's segments, flush accounting,
-    disk files, and flusher thread live entirely in the worker's address
-    space.
-    """
-
-    def __init__(
-        self,
-        *,
-        node_id: int,
-        materialize: bool = True,
-        flush_threshold: int = 1 << 20,
-        disk_dir: str | None = None,
-        fsync_policy: str = "never",
-        spill: bool = False,
-    ) -> None:
-        self.core = KeraBackupCore(
-            node_id=node_id,
-            materialize=materialize,
-            flush_threshold=flush_threshold,
-            disk_dir=disk_dir,
-            fsync_policy=fsync_policy,
-            spill=spill,
-        )
-        self.flushes = 0
-        self.flusher: BackupFlusher[FlushWork] | None = None
-        if self.core.persistence is not None:
-            self.flusher = BackupFlusher(
-                self.core.persist,
-                name=f"backup-flusher-{node_id}",
-                on_tick=self.core.tick_persistence,
-            )
-
-    def _schedule(self, works: list[FlushWork]) -> None:
-        self.flushes += len(works)
-        for work in works:
-            if self.flusher is not None:
-                self.flusher.submit(work, work.nbytes)
-            else:
-                self.core.persist(work)
-
-    def handle(self, method: str, request: Any) -> Any:
-        if method == "replicate":
-            response, flush = self.core.handle_replicate(request)
-            works = self.core.take_sealed_flushes()
-            if flush is not None:
-                works.append(flush)
-            if works:
-                self._schedule(works)
-            return response
-        if method == "stats":
-            store = self.core.store
-            return {
-                "chunks_received": store.chunks_received,
-                "batches_received": store.batches_received,
-                "bytes_held": store.bytes_held,
-                "bytes_in_memory": store.bytes_in_memory,
-                "segment_count": store.segment_count,
-                "spilled_segments": store.spilled_segments,
-                "flushes": self.flushes,
-                "flush_lag_bytes": (
-                    0 if self.flusher is None else self.flusher.flush_lag_bytes
-                ),
-                "segments_on_disk": self.core.segments_on_disk,
-            }
-        if method == "sync_flush":
-            # Drain every unflushed tail through the flusher and wait.
-            self._schedule(self.core.drain_flush())
-            if self.flusher is not None:
-                self.flusher.wait_idle(30.0)
-            if self.core.persistence is not None:
-                self.core.persistence.sync_all()
-            return self.core.segments_on_disk
-        if method == "recovery_chunks":
-            return self.core.recovery_chunks(int(request))
-        if method == "load_disk":
-            report = self.core.load_from_disk()
-            return {
-                "segments": len(report.segments),
-                "chunks_loaded": report.chunks_loaded,
-                "bytes_truncated": report.bytes_truncated,
-                "files_scanned": report.files_scanned,
-                "files_skipped": report.files_skipped,
-                "files_superseded": report.files_superseded,
-                "indexes_rebuilt": report.indexes_rebuilt,
-                "epochs_loaded": list(report.epochs_loaded),
-            }
-        if method == "loaded_brokers":
-            return self.core.loaded_brokers()
-        if method == "disk_recovery_chunks":
-            return self.core.disk_recovery_chunks(int(request))
-        if method == "retire_epochs":
-            self.core.retire_loaded_epochs()
-            return True
-        if method == "drop_broker":
-            return self.core.store.drop_broker(int(request))
-        raise ConfigError(f"unknown backup method {method!r}")
-
-    def close(self) -> None:
-        """Child-side shutdown hook (ring closed and drained): flush the
-        tail, stop the flusher, close the segment files."""
-        works = self.core.drain_flush()
-        if self.flusher is not None:
-            for work in works:
-                self.flusher.submit(work, work.nbytes)
-            self.flusher.stop(drain=True)
-        else:
-            for work in works:
-                self.core.persist(work)
-        self.core.close_persistence()
+from repro.kera.threaded import ThreadedKeraCluster
 
 
 class ProcessKeraCluster(ThreadedKeraCluster):
     """A KerA cluster whose replication plane runs on other cores."""
 
+    _transport_class = ProcessTransport
+
     def __init__(
         self,
         config: KeraConfig | None = None,
         *,
-        produce_workers: int = 4,
-        queue_depth: int = 128,
-        call_timeout: float = 30.0,
-        ack_timeout: float = 10.0,
         ring_bytes: int = 4 * MB,
-        transport: Transport | None = None,
+        **threaded_options: Any,
     ) -> None:
         self._ring_bytes = ring_bytes
-        super().__init__(
-            config,
-            produce_workers=produce_workers,
-            queue_depth=queue_depth,
-            call_timeout=call_timeout,
-            ack_timeout=ack_timeout,
-            transport=transport
-            or ProcessTransport(
-                queue_depth=queue_depth,
-                workers_per_service=produce_workers,
-                call_timeout=call_timeout,
-            ),
-        )
+        super().__init__(config, **threaded_options)
 
-    def _start_flushers(self) -> None:
-        # The children own persistence; the parent-side cores see no
-        # traffic and must not open files or spawn flusher threads.
-        return
-
-    def _register_services(self) -> None:
-        config = self.config
-        storage_dir = config.storage_dir
-        for node in self.system.node_ids:
-            service = _ThreadedBrokerService(self, node)
-            self._broker_services[node] = service
-            self.transport.register(node, "broker", service)
-            self.transport.register(
-                node,
-                "backup",
-                ProcessServiceSpec(
-                    factory=ProcessBackupWorker,
-                    kwargs={
-                        "node_id": node,
-                        "materialize": config.storage.materialize,
-                        "flush_threshold": config.flush_threshold,
-                        "disk_dir": (
-                            f"{storage_dir}/node{node}"
-                            if storage_dir is not None
-                            else None
-                        ),
-                        "fsync_policy": config.replication.fsync_policy,
-                        "spill": config.replication.spill_sealed,
-                    },
-                    ring_bytes=self._ring_bytes,
-                ),
-            )
-
-    # -- cross-process accounting / recovery ---------------------------------
-
-    def backup_stats(self, node_id: int) -> dict[str, int]:
-        """Backup-side accounting, fetched from the worker process."""
-        return self.transport.call(CLIENT_NODE, node_id, "backup", "stats", None)
-
-    def flush_lag_bytes(self, node_id: int) -> int:
-        return int(self.backup_stats(node_id)["flush_lag_bytes"])
-
-    def segments_on_disk(self, node_id: int) -> int:
-        return int(self.backup_stats(node_id)["segments_on_disk"])
-
-    def backup_sync_flush(self, node_id: int) -> int:
-        """Force a child's tail to disk (fsync'd); returns its file count."""
-        return self.transport.call(
-            CLIENT_NODE, node_id, "backup", "sync_flush", None
-        )
-
-    def backup_recovery_chunks(
-        self, node_id: int, failed_broker: int
-    ) -> list[tuple[int, list[Chunk]]]:
-        return self.transport.call(
-            CLIENT_NODE, node_id, "backup", "recovery_chunks", failed_broker
-        )
-
-    def backup_load_disk(self, node_id: int, *, parallel: int = 4) -> dict:
-        return self.transport.call(
-            CLIENT_NODE, node_id, "backup", "load_disk", None
-        )
-
-    def backup_loaded_brokers(self, node_id: int) -> list[int]:
-        return self.transport.call(
-            CLIENT_NODE, node_id, "backup", "loaded_brokers", None
-        )
-
-    def backup_disk_recovery_chunks(
-        self, node_id: int, failed_broker: int
-    ) -> list[tuple[int, list[Chunk]]]:
-        return self.transport.call(
-            CLIENT_NODE, node_id, "backup", "disk_recovery_chunks", failed_broker
-        )
-
-    def backup_retire_epochs(self, node_id: int) -> None:
-        self.transport.call(CLIENT_NODE, node_id, "backup", "retire_epochs", None)
-
-    def backup_drop_broker(self, node_id: int, failed_broker: int) -> int:
-        return self.transport.call(
-            CLIENT_NODE, node_id, "backup", "drop_broker", failed_broker
+    def _backup_binding(self, node: int) -> object:
+        return ProcessServiceSpec(
+            factory=BackupService.in_worker,
+            kwargs=self.system.backup_core_kwargs(node),
+            ring_bytes=self._ring_bytes,
+            # Recovery reads hand back what replicate requests brought
+            # in, so the response ring is sized like the request ring.
+            response_ring_bytes=self._ring_bytes,
         )

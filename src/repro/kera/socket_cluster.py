@@ -1,20 +1,15 @@
 """Socket-parallel KerA cluster: backups behind real TCP connections.
 
-:class:`SocketKeraCluster` is :class:`~repro.kera.process.ProcessKeraCluster`
-with the shared-memory rings swapped for framed TCP: every node's backup
-service runs in a worker process reachable only through one localhost
-socket, fed by :class:`repro.runtime.socket_transport.SocketTransport`.
-The division of state is identical to process mode — the child owns the
-node's backup core (including the durable tier and its flusher thread),
-the parent's cores see no traffic — and so is the RPC surface, because
-the socket transport speaks the very same request/response kinds.
-
-What changes is the boundary: replicate batches now cross a TCP stream
-with scatter-gather ``sendmsg`` (frames leave the broker's segment views
-without a coalescing copy), and backpressure becomes a byte-credit
-window per connection (``window_bytes``) instead of a physical ring
-bound. The pipelined shipper throttles on ``Transport.credit`` either
-way, so replicate/ack pipelining works unchanged.
+:class:`SocketKeraCluster` is the sibling of
+:class:`~repro.kera.process.ProcessKeraCluster` with the shared-memory
+rings swapped for the framed-TCP pipe
+(:mod:`repro.runtime.socket_transport` says what that pipe does): every
+node's backup service runs in a worker process reachable only through
+one localhost socket. The division of state is identical — the child
+owns the node's backup core (including the durable tier and its flusher
+thread), the parent's cores see no traffic — and so is the RPC surface,
+because the transport speaks the same request/response kinds over
+either pipe.
 
 This is the deployable-shape rung of the transport ladder: swap the
 localhost rendezvous for real addresses and the same frames cross a
@@ -24,67 +19,33 @@ this cluster for thousands of remote producer/consumer connections.
 
 from __future__ import annotations
 
+from typing import Any
+
 from repro.common.units import MB
 from repro.runtime.socket_transport import SocketServiceSpec, SocketTransport
-from repro.runtime.transport import Transport
+from repro.kera.backup_service import BackupService
 from repro.kera.config import KeraConfig
-from repro.kera.process import ProcessBackupWorker, ProcessKeraCluster
-from repro.kera.threaded import _ThreadedBrokerService
+from repro.kera.threaded import ThreadedKeraCluster
 
 
-class SocketKeraCluster(ProcessKeraCluster):
+class SocketKeraCluster(ThreadedKeraCluster):
     """A KerA cluster whose replication plane crosses real sockets."""
+
+    _transport_class = SocketTransport
 
     def __init__(
         self,
         config: KeraConfig | None = None,
         *,
-        produce_workers: int = 4,
-        queue_depth: int = 128,
-        call_timeout: float = 30.0,
-        ack_timeout: float = 10.0,
         window_bytes: int = 4 * MB,
-        transport: Transport | None = None,
+        **threaded_options: Any,
     ) -> None:
         self._window_bytes = window_bytes
-        super().__init__(
-            config,
-            produce_workers=produce_workers,
-            queue_depth=queue_depth,
-            call_timeout=call_timeout,
-            ack_timeout=ack_timeout,
-            transport=transport
-            or SocketTransport(
-                queue_depth=queue_depth,
-                workers_per_service=produce_workers,
-                call_timeout=call_timeout,
-            ),
-        )
+        super().__init__(config, **threaded_options)
 
-    def _register_services(self) -> None:
-        config = self.config
-        storage_dir = config.storage_dir
-        for node in self.system.node_ids:
-            service = _ThreadedBrokerService(self, node)
-            self._broker_services[node] = service
-            self.transport.register(node, "broker", service)
-            self.transport.register(
-                node,
-                "backup",
-                SocketServiceSpec(
-                    factory=ProcessBackupWorker,
-                    kwargs={
-                        "node_id": node,
-                        "materialize": config.storage.materialize,
-                        "flush_threshold": config.flush_threshold,
-                        "disk_dir": (
-                            f"{storage_dir}/node{node}"
-                            if storage_dir is not None
-                            else None
-                        ),
-                        "fsync_policy": config.replication.fsync_policy,
-                        "spill": config.replication.spill_sealed,
-                    },
-                    window_bytes=self._window_bytes,
-                ),
-            )
+    def _backup_binding(self, node: int) -> object:
+        return SocketServiceSpec(
+            factory=BackupService.in_worker,
+            kwargs=self.system.backup_core_kwargs(node),
+            window_bytes=self._window_bytes,
+        )

@@ -30,11 +30,10 @@ from __future__ import annotations
 import threading
 
 from repro.common.errors import ConfigError, NotLeaderError, ReplicationError, RpcError
-from repro.persist import BackupFlusher
 from repro.runtime.threaded import ThreadedTransport
 from repro.runtime.transport import LiveService, Transport
 from repro.kera.config import KeraConfig
-from repro.kera.live import LiveBackupService, LiveKeraCluster
+from repro.kera.live import LiveKeraCluster
 from repro.kera.messages import ProduceRequest
 from repro.kera.shipper import PipelinedShipper
 
@@ -153,6 +152,9 @@ class _ThreadedBrokerService(LiveService):
 class ThreadedKeraCluster(LiveKeraCluster):
     """A KerA cluster with every node's services on their own threads."""
 
+    #: The transport built when none is passed in.
+    _transport_class: type[ThreadedTransport] = ThreadedTransport
+
     def __init__(
         self,
         config: KeraConfig | None = None,
@@ -169,7 +171,7 @@ class ThreadedKeraCluster(LiveKeraCluster):
         super().__init__(
             config,
             transport
-            or ThreadedTransport(
+            or self._transport_class(
                 queue_depth=queue_depth,
                 workers_per_service=produce_workers,
                 call_timeout=call_timeout,
@@ -180,26 +182,15 @@ class ThreadedKeraCluster(LiveKeraCluster):
             self._shippers[node] = shipper
             shipper.start()
 
-    def _start_flushers(self) -> None:
-        # One flusher thread per backup with secondary storage: the
-        # backup service acks from the buffer, this thread owns the disk.
-        for node, core in self.backups.items():
-            if core.persistence is not None:
-                self._flushers[node] = BackupFlusher(
-                    core.persist,
-                    name=f"backup-flusher-{node}",
-                    on_tick=core.tick_persistence,
-                )
+    def _broker_service(self, node_id: int) -> object:
+        service = _ThreadedBrokerService(self, node_id)
+        self._broker_services[node_id] = service
+        return service
 
-    def _register_services(self) -> None:
-        for node in self.system.node_ids:
-            service = _ThreadedBrokerService(self, node)
-            self._broker_services[node] = service
-            self.transport.register(node, "broker", service)
-            # One worker: the backup core stays single-threaded.
-            self.transport.register(
-                node, "backup", LiveBackupService(self, node), workers=1
-            )
+    def _backup_binding(self, node_id: int) -> object:
+        # A live object whose flusher thread owns the disk (the service
+        # acks from the buffer); worker-process drivers return a spec.
+        return self._local_backup(node_id, async_flush=True)
 
     def shipper(self, broker_id: int) -> PipelinedShipper:
         return self._shippers[broker_id]

@@ -17,7 +17,12 @@ plumbing, and the replication drive loop. A driver now only picks a
 * :class:`SimTransport` — the discrete-event fabric
   (``repro.runtime.sim``), :class:`InprocTransport` — synchronous
   in-process calls, :class:`ThreadedTransport` — one bounded request
-  queue and worker-thread pool per (node, service).
+  queue and worker-thread pool per (node, service),
+  :class:`WorkerTransport` — the threaded transport plus bindings hosted
+  in worker processes, reached over the pipe their spec picks
+  (:class:`ProcessServiceSpec`: shared-memory rings,
+  :class:`SocketServiceSpec`: framed TCP). ``ProcessTransport`` and
+  ``SocketTransport`` both name that one class.
 
 Import discipline: this package is imported *by* ``repro.kera`` and
 ``repro.kafka`` (their drivers run on it), so every import of those
@@ -30,6 +35,7 @@ from repro.runtime.runtime import ClusterRuntime
 from repro.runtime.system import SystemAdapter, KeraSystem, KafkaSystem
 from repro.runtime.inproc import InprocTransport
 from repro.runtime.threaded import ThreadedTransport
+from repro.runtime.worker import WorkerTransport, WorkerSpec
 from repro.runtime.process import ProcessTransport, ProcessServiceSpec
 from repro.runtime.socket_transport import SocketTransport, SocketServiceSpec
 from repro.runtime.sim import SimTransport, SimKeraReplication
@@ -43,6 +49,8 @@ __all__ = [
     "KafkaSystem",
     "InprocTransport",
     "ThreadedTransport",
+    "WorkerTransport",
+    "WorkerSpec",
     "ProcessTransport",
     "ProcessServiceSpec",
     "SocketTransport",

@@ -1,91 +1,77 @@
-"""ProcessTransport: service workers in child processes over shm rings.
+"""The shared-memory pipe: worker processes over two SPSC rings.
 
-The fourth transport: selected bindings run in *worker processes*
-connected to the parent by two :class:`repro.wire.ring.SpscRing` channels
-living in ``multiprocessing.shared_memory`` blocks (request ring: parent
-writes, child reads; response ring: child writes, a parent reaper thread
-reads). Everything not registered as a :class:`ProcessServiceSpec` keeps
-the :class:`ThreadedTransport` behaviour, so a cluster can mix in-process
-broker services with out-of-process backups.
+A :class:`ProcessServiceSpec` binding on a
+:class:`~repro.runtime.worker.WorkerTransport` reaches its worker
+through two :class:`repro.wire.ring.SpscRing` channels living in
+``multiprocessing.shared_memory`` blocks (request ring: parent writes,
+child reads; response ring: child writes, the binding's reader thread
+reads). What this pipe contributes to the transport:
 
-Replication is the whole point, so it gets a dedicated zero-pickle wire
-form: a ``ReplicateRequest`` carrying frames is packed as a fixed header
-plus the raw frame bytes, written straight from the broker's segment
-views into the ring (the single boundary copy) and rebuilt in the child
-as views *into the ring* — no pickling, no intermediate buffers. Because
-the bytes crossed an address space, the rebuilt request carries
-``frames_verified=False`` and the child re-validates CRCs — on another
-core — before copying frames into its store (the validate-at-boundary
-discipline from ``repro.wire.chunk``). Acks return as 20-byte packed
-records. Any other method falls back to pickle over the same rings.
-
-Backpressure is physical here: a full request ring refuses the write,
-``credit`` exposes the ring's free bytes, and the pipelined shipper
-(``repro.kera.shipper``) throttles on it.
-
-Shutdown contract: the request rings are closed *then drained* — the
-child keeps serving queued records after close, acks flow back, and the
-reaper resolves every pending call before the workers are reaped; only
-calls that never reached a ring fail.
+* **boundary copy** — the request-ring write: frames go from the
+  broker's segment views into the ring once, and the child reads them in
+  place (views into the ring, valid until consumed);
+* **credit** — physical: the request ring's free bytes. A full ring
+  refuses the write; the send waits up to the transport's
+  ``write_timeout`` for the child to consume, then fails;
+* **liveness** — ``process-exit``: a SIGKILLed child leaves its rings
+  open, so the reader polls the worker process between reads;
+* **shutdown** — the parent closes the request ring; the child serves
+  what is queued, closes the response ring and exits, which the reader
+  sees as EOF once the ring is drained.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import pickle
-import struct
-import threading
-import time
-from collections.abc import Callable
-from dataclasses import dataclass, field
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass
+from functools import partial
 from multiprocessing import shared_memory
-from typing import TYPE_CHECKING, Any
+from typing import ClassVar, TypeVar
 
 from repro.common.errors import RpcError
 from repro.common.units import KB, MB
-from repro.runtime.threaded import ThreadedTransport
-from repro.runtime.transport import CallCallback
+from repro.runtime.worker import (
+    ParentEnd,
+    Part,
+    PipeEnd,
+    Rendezvous,
+    WorkerSpec,
+    WorkerTransport,
+    decode_replicate,
+    encode_replicate,
+)
 from repro.wire.ring import SpscRing
 
-if TYPE_CHECKING:
-    # repro.kera imports repro.runtime, so runtime modules import kera
-    # message types lazily (package discipline — see runtime/__init__).
-    from repro.kera.messages import ReplicateRequest
+__all__ = [
+    "ProcessServiceSpec",
+    "ProcessTransport",
+    "decode_replicate",
+    "encode_replicate",
+]
 
-#: Ring record kinds (0 is the ring's own padding kind).
-KIND_PICKLE = 1  # pickled (call_id, method, request) / (call_id, response, error)
-KIND_REPLICATE = 2  # packed ReplicateRequest + raw frame bytes
-KIND_ACK = 3  # packed ReplicateResponse
+#: The transport class is shared by both pipes; the *spec* a binding is
+#: registered with picks the pipe. The name stays for callers that build
+#: a ring-backed cluster.
+ProcessTransport = WorkerTransport
 
-#: call_id, src_broker, vlog_id, vseg_id, vseg_capacity, batch_checksum, nframes
-_REPL_HEAD = struct.Struct("<QqqqqII")
-#: call_id, ok, bytes_held
-_ACK = struct.Struct("<QIq")
+_T = TypeVar("_T")
 
-#: Transport-level liveness notification: ``(node_id, service, source,
-#: reason)``. ``source`` names the detection channel ("process-exit" for
-#: a reaped worker process, "socket-eof" / "socket-error" for a broken
-#: worker connection) so failure detectors can type their verdicts.
-LivenessListener = Callable[[int, str, str, str], None]
+#: How long a reader waits on an empty ring before re-checking that its
+#: peer process is still alive.
+_LIVENESS_POLL_S = 0.05
 
 
 @dataclass(frozen=True)
-class ProcessServiceSpec:
-    """A service binding to run in a worker process.
+class ProcessServiceSpec(WorkerSpec):
+    """A worker-process binding reached over shared-memory rings."""
 
-    ``factory(**kwargs)`` is invoked *in the child* to build the service
-    (an object with ``handle(method, request)``); both must be picklable
-    and importable from a module top level so the spawn start method
-    works too. The parent process never constructs the service — state
-    lives exclusively in the child, reachable only through RPCs.
-    """
-
-    factory: Any
-    kwargs: dict[str, Any] = field(default_factory=dict)
     #: Request ring data bytes (bounds in-flight request payload).
     ring_bytes: int = 4 * MB
     #: Response ring data bytes (acks are tiny; pickled responses are not).
     response_ring_bytes: int = 256 * KB
+
+    def open_pipe(self, key: tuple[int, str]) -> ParentEnd:
+        return _RingEnd.create(key, self.ring_bytes, self.response_ring_bytes)
 
 
 def _attach(name: str) -> shared_memory.SharedMemory:
@@ -110,495 +96,113 @@ def _close_shm(shm: shared_memory.SharedMemory) -> None:
         pass
 
 
-def decode_replicate(view: memoryview) -> "tuple[int, ReplicateRequest]":
-    """Rebuild a replicate request from ring bytes, zero-copy.
+class _RingEnd:
+    """Either end: a ring to write (``tx``) and a ring to read (``rx``).
 
-    The frames are views into the ring: valid until the record is
-    consumed, and flagged unverified because they crossed an address
-    space — the store re-checks CRCs before copying them out.
+    The parent's end creates both blocks and unlinks them on close; the
+    child's end attaches to them by name with the roles swapped.
     """
-    from repro.kera.messages import ReplicateRequest
 
-    call_id, src, vlog, vseg, cap, checksum, nframes = _REPL_HEAD.unpack_from(view, 0)
-    offset = _REPL_HEAD.size
-    lens = struct.unpack_from(f"<{nframes}I", view, offset)
-    offset += 4 * nframes
-    frames = []
-    for length in lens:
-        frames.append(view[offset : offset + length])
-        offset += length
-    request = ReplicateRequest(
-        src_broker=src,
-        vlog_id=vlog,
-        vseg_id=vseg,
-        vseg_capacity=cap,
-        batch_checksum=checksum,
-        frames=tuple(frames),
-        frames_verified=False,
-    )
-    return call_id, request
+    rendezvous: ClassVar[type[Rendezvous] | None] = None
+    eof_source: ClassVar[str] = "process-exit"
+    error_source: ClassVar[str] = "process-exit"
 
-
-def encode_replicate(
-    call_id: int, request: "ReplicateRequest"
-) -> list[bytes | memoryview]:
-    """Pack a frames-bearing replicate request for the ring (no pickle).
-
-    Returns parts the ring concatenates during its single boundary copy;
-    the frame views are handed through untouched.
-    """
-    frames = request.frames
-    assert frames is not None
-    head = _REPL_HEAD.pack(
-        call_id,
-        request.src_broker,
-        request.vlog_id,
-        request.vseg_id,
-        request.vseg_capacity,
-        request.batch_checksum,
-        len(frames),
-    )
-    lens = struct.pack(f"<{len(frames)}I", *(len(f) for f in frames))
-    return [head, lens, *frames]
-
-
-def _service_worker(
-    factory: Any, kwargs: dict[str, Any], request_name: str, response_name: str
-) -> None:
-    """Child process main: serve ring records until closed and drained."""
-    request_shm = _attach(request_name)
-    try:
-        response_shm = _attach(response_name)
-    except BaseException:
-        _close_shm(request_shm)
-        raise
-    requests: SpscRing | None = None
-    responses: SpscRing | None = None
-    service: Any = None
-    try:
-        requests = SpscRing(request_shm.buf)
-        responses = SpscRing(response_shm.buf)
-        service = factory(**kwargs)
-        while True:
-            record = requests.read(timeout=0.1)
-            if record is None:
-                if requests.closed:
-                    break  # closed and drained: clean exit
-                continue
-            kind, view = record
-            try:
-                try:
-                    out_kind, payload = _serve(service, kind, view)
-                finally:
-                    del view
-                    requests.consume()
-            except Exception:  # noqa: BLE001 -- a poison record (malformed frame head, undecodable pickle) must not wedge the ring: the slot is consumed either way, the caller times out, later requests still get served.
-                continue
-            if not responses.write(out_kind, payload, timeout=30.0):
-                break  # reaper gone; parent will fail the pending call
-    finally:
-        close = getattr(service, "close", None)
-        if callable(close):
-            try:
-                # Service shutdown hook: lets a durable backup drain its
-                # flusher and fsync segment files before the child exits.
-                close()
-            except Exception:  # noqa: S110 -- nothing to relay to: the rings are closing; a failed drain must not mask the clean exit path.
-                pass
-        try:
-            if responses is not None:
-                responses.close()
-            del requests, responses
-        finally:
-            try:
-                _close_shm(request_shm)
-            finally:
-                _close_shm(response_shm)
-
-
-def _serve(
-    service: Any, kind: int, view: memoryview
-) -> tuple[int, list[bytes | memoryview]]:
-    """Decode one request record, run the handler, encode the response."""
-    from repro.kera.messages import ReplicateResponse
-
-    if kind == KIND_REPLICATE:
-        call_id, request = decode_replicate(view)
-        method = "replicate"
-    else:
-        call_id, method, request = pickle.loads(view)
-    try:
-        response = service.handle(method, request)
-    except BaseException as exc:  # noqa: BLE001 - relayed to the caller
-        try:
-            payload = pickle.dumps((call_id, None, exc))
-            pickle.loads(payload)  # prove it survives the round trip
-        except Exception:
-            payload = pickle.dumps(
-                (call_id, None, RpcError(f"{type(exc).__name__}: {exc}"))
-            )
-        return KIND_PICKLE, [payload]
-    if kind == KIND_REPLICATE and isinstance(response, ReplicateResponse):
-        packed = _ACK.pack(call_id, 1 if response.ok else 0, response.bytes_held)
-        return KIND_ACK, [packed]
-    return KIND_PICKLE, [pickle.dumps((call_id, response, None))]
-
-
-class _ProcessBinding:
-    """Parent-side endpoint of one worker process."""
-
-    def __init__(self, key: tuple[int, str], spec: ProcessServiceSpec) -> None:
+    def __init__(self, key: tuple[int, str], *, owner: bool) -> None:
         self.key = key
-        self.spec = spec
-        ring_size = 64 + max(spec.ring_bytes, 4 * KB)
-        response_size = 64 + max(spec.response_ring_bytes, 4 * KB)
-        self.request_shm = shared_memory.SharedMemory(create=True, size=ring_size)
-        self.response_shm = shared_memory.SharedMemory(create=True, size=response_size)
-        self.requests = SpscRing(self.request_shm.buf, reset=True)
-        self.responses = SpscRing(self.response_shm.buf, reset=True)
-        # The ring is single-producer: concurrent parent callers (several
-        # brokers shipping to one backup) serialize on this lock.
-        self.write_lock = threading.Lock()
-        self.process: multiprocessing.process.BaseProcess | None = None
-        #: Set once the worker process was found dead: submits fail fast
-        #: instead of queueing requests no one will ever serve.
-        self.dead = False
+        self.owner = owner
+        self.tx_shm: shared_memory.SharedMemory | None = None
+        self.rx_shm: shared_memory.SharedMemory | None = None
 
-    def spawn(self, ctx: multiprocessing.context.BaseContext) -> None:
-        self.process = ctx.Process(
-            target=_service_worker,
-            args=(
-                self.spec.factory,
-                self.spec.kwargs,
-                self.request_shm.name,
-                self.response_shm.name,
-            ),
-            name=f"{self.key[1]}@{self.key[0]}",
-            daemon=True,
-        )
-        self.process.start()
-
-    def destroy(self) -> None:
-        if self.process is not None and self.process.is_alive():
-            self.process.terminate()
-            self.process.join(timeout=5.0)
-        del self.requests, self.responses
-        _close_shm(self.request_shm)
-        _close_shm(self.response_shm)
+    @classmethod
+    def create(
+        cls, key: tuple[int, str], ring_bytes: int, response_ring_bytes: int
+    ) -> _RingEnd:
+        end = cls(key, owner=True)
         try:
-            self.request_shm.unlink()
-            self.response_shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - already gone
-            pass
-
-
-class ProcessTransport(ThreadedTransport):
-    """ThreadedTransport plus process-hosted bindings over shm rings."""
-
-    def __init__(
-        self,
-        *,
-        queue_depth: int = 128,
-        workers_per_service: int = 2,
-        call_timeout: float = 30.0,
-        write_timeout: float = 5.0,
-    ) -> None:
-        super().__init__(
-            queue_depth=queue_depth,
-            workers_per_service=workers_per_service,
-            call_timeout=call_timeout,
-        )
-        #: How long a ring write may wait on backpressure before failing.
-        self.write_timeout = write_timeout
-        self._proc: dict[tuple[int, str], _ProcessBinding] = {}  # guarded-by: _state_lock
-        self._pending_lock = threading.Lock()
-        #: call_id -> (pending call, the binding it was routed through).
-        self._pending: dict[int, tuple[Any, _ProcessBinding]] = {}  # guarded-by: _pending_lock
-        self._next_call_id = 0  # guarded-by: _pending_lock
-        self._reaper: threading.Thread | None = None
-        self._reaper_stop = threading.Event()
-        #: Clean-shutdown flag: children exiting after close-then-drain
-        #: must not be reported as failures.
-        self._draining = threading.Event()
-        #: Settable hook: called ``(node_id, service, source, reason)``
-        #: when a worker process is found dead outside shutdown. The
-        #: transport never imports the failover plane — detectors attach
-        #: themselves here (dependency points failover -> runtime).
-        self.liveness_listener: LivenessListener | None = None
-
-    # -- registration / lifecycle -------------------------------------------
-
-    def register(
-        self, node_id: int, name: str, service: Any, *, workers: int | None = None
-    ) -> None:
-        if not isinstance(service, ProcessServiceSpec):
-            with self._state_lock:
-                taken = (node_id, name) in self._proc
-            if taken:
-                raise RpcError(f"service {name!r} already registered on node {node_id}")
-            super().register(node_id, name, service, workers=workers)
-            return
-        with self._state_lock:
-            if self._started:
-                raise RpcError("cannot register services on a started transport")
-            key = (node_id, name)
-            if key in self._proc or key in self._bindings:
-                raise RpcError(f"service {name!r} already registered on node {node_id}")
-            self._proc[key] = _ProcessBinding(key, service)
-
-    def start(self) -> None:
-        with self._state_lock:
-            if self._started:
-                return
-            bindings = list(self._proc.values())
-        # Workers come up before any thread-hosted service can issue a
-        # call toward them; the fork context keeps startup cheap (the
-        # children never touch inherited cluster state — only the rings).
-        methods = multiprocessing.get_all_start_methods()
-        ctx = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
-        for binding in bindings:
-            binding.spawn(ctx)
-        if bindings:
-            self._reaper = threading.Thread(
-                target=self._reap, name="process-transport-reaper", daemon=True
+            end.tx_shm = shared_memory.SharedMemory(
+                create=True, size=64 + max(ring_bytes, 4 * KB)
             )
-            self._reaper.start()
-        super().start()
+            end.rx_shm = shared_memory.SharedMemory(
+                create=True, size=64 + max(response_ring_bytes, 4 * KB)
+            )
+            end._map()
+        except BaseException:
+            end.close()
+            raise
+        return end
 
-    def shutdown(self) -> None:
-        with self._state_lock:
-            bindings = list(self._proc.values())
-            already_closed = self._closed
-        if not already_closed:
-            # Close-then-drain: children serve every record already in
-            # their request ring, push the acks, and exit; the reaper
-            # keeps resolving pendings until the response rings are dry.
-            self._draining.set()
-            for binding in bindings:
-                binding.requests.close()
-            for binding in bindings:
-                if binding.process is not None:
-                    binding.process.join(timeout=10.0)
-            deadline = time.monotonic() + 5.0
-            while time.monotonic() < deadline:
-                with self._pending_lock:
-                    if not self._pending:
-                        break
-                time.sleep(0.001)
-            self._reaper_stop.set()
-            if self._reaper is not None:
-                self._reaper.join(timeout=5.0)
-            with self._pending_lock:
-                leftover = list(self._pending.values())
-                self._pending.clear()
-            for call, _binding in leftover:
-                call.error = RpcError("transport shut down with call in flight")
-                call.done.set()
-                if call.on_done is not None:
-                    call.on_done(None, call.error)
-            for binding in bindings:
-                binding.destroy()
-        super().shutdown()
+    @classmethod
+    def attach(cls, key: tuple[int, str], request_name: str, response_name: str) -> _RingEnd:
+        end = cls(key, owner=False)
+        try:
+            end.rx_shm = _attach(request_name)
+            end.tx_shm = _attach(response_name)
+            end._map()
+        except BaseException:
+            end.close()
+            raise
+        return end
 
-    # -- call path -----------------------------------------------------------
+    def _map(self) -> None:
+        assert self.tx_shm is not None and self.rx_shm is not None
+        self.tx = SpscRing(self.tx_shm.buf, reset=self.owner)
+        self.rx = SpscRing(self.rx_shm.buf, reset=self.owner)
 
-    def credit(self, dst: int, service: str) -> int:
-        binding = self._proc.get((dst, service))
-        if binding is None:
-            return super().credit(dst, service)
-        return binding.requests.free_bytes
+    def child_opener(self, address: tuple[str, int] | None) -> Callable[[], PipeEnd]:
+        assert self.tx_shm is not None and self.rx_shm is not None
+        return partial(_RingEnd.attach, self.key, self.tx_shm.name, self.rx_shm.name)
 
-    def worker_pid(self, node_id: int, service: str) -> int | None:
-        """The OS pid of a process-hosted binding's worker, if any.
+    def credit(self) -> int:
+        return self.tx.free_bytes
 
-        Chaos tooling uses this to aim real SIGKILLs; thread-hosted
-        bindings have no pid of their own and return None.
-        """
-        binding = self._proc.get((node_id, service))
-        if binding is None or binding.process is None:
-            return None
-        return binding.process.pid
+    def reserve(self, nbytes: int, timeout: float) -> bool:
+        return True  # the ring itself is the bound: send() waits on it
 
-    def _submit(
-        self,
-        dst: int,
-        service: str,
-        method: str,
-        request: Any,
-        on_done: CallCallback | None,
-    ) -> Any:
-        from repro.runtime.threaded import _PendingCall
-        from repro.kera.messages import ReplicateRequest
+    def release(self, nbytes: int) -> None:
+        pass  # the reader's consume is what frees ring bytes
 
-        binding = self._proc[(dst, service)]
-        if binding.dead:
-            raise RpcError(f"worker process for {service!r} on node {dst} is dead")
-        call = _PendingCall(method, request, on_done)
-        with self._pending_lock:
-            call_id = self._next_call_id
-            self._next_call_id += 1
-            self._pending[call_id] = (call, binding)
-        if (
-            method == "replicate"
-            and isinstance(request, ReplicateRequest)
-            and request.frames is not None
-        ):
-            kind, parts = KIND_REPLICATE, encode_replicate(call_id, request)
-        else:
-            kind, parts = KIND_PICKLE, [pickle.dumps((call_id, method, request))]
-        with binding.write_lock:
-            ok = binding.requests.write(kind, parts, timeout=self.write_timeout)
-        if not ok:
-            with self._pending_lock:
-                self._pending.pop(call_id, None)
+    def send(self, kind: int, parts: Sequence[Part], timeout: float) -> None:
+        if not self.tx.write(kind, parts, timeout=timeout):
+            node_id, service = self.key
             raise RpcError(
-                f"request ring full for {service!r} on node {dst} "
-                f"(no credit after {self.write_timeout}s)"
+                f"ring full for {service!r} on node {node_id} "
+                f"(no credit after {timeout}s)"
             )
-        return call
 
-    def call(
-        self,
-        src: int,
-        dst: int,
-        service: str,
-        method: str,
-        request: Any,
-        request_bytes: int = 0,
-    ) -> Any:
-        if (dst, service) not in self._proc:
-            return super().call(src, dst, service, method, request, request_bytes)
-        if not self._started:
-            raise RpcError("transport not started")
-        if self._closed:
-            raise RpcError("transport is shut down")
-        call = self._submit(dst, service, method, request, None)
-        if not call.done.wait(self.call_timeout):
-            raise RpcError(
-                f"{service}.{method} on node {dst} timed out after {self.call_timeout}s"
-            )
-        if call.error is not None:
-            raise call.error
-        return call.response
-
-    def call_async(
-        self,
-        src: int,
-        dst: int,
-        service: str,
-        method: str,
-        request: Any,
-        request_bytes: int = 0,
-        *,
-        on_done: CallCallback,
-    ) -> None:
-        if (dst, service) not in self._proc:
-            super().call_async(
-                src, dst, service, method, request, request_bytes, on_done=on_done
-            )
-            return
-        if not self._started:
-            raise RpcError("transport not started")
-        if self._closed:
-            raise RpcError("transport is shut down")
-        self._submit(dst, service, method, request, on_done)
-
-    # -- response reaper ------------------------------------------------------
-
-    def _resolve(self, call_id: int, response: Any, error: BaseException | None) -> None:
-        with self._pending_lock:
-            entry = self._pending.pop(call_id, None)
-        if entry is None:  # pragma: no cover - late ack after shutdown
-            return
-        call, _binding = entry
-        call.response = response
-        call.error = error
-        call.done.set()
-        if call.on_done is not None:
-            call.on_done(response, error)
-
-    def _fail_dead_binding(self, binding: _ProcessBinding) -> None:
-        """A worker process died (not a clean shutdown): fail every call
-        routed through it and notify the liveness listener."""
-        binding.dead = True
-        node_id, service = binding.key
-        exitcode = None if binding.process is None else binding.process.exitcode
-        reason = (
-            f"worker process for {service!r} on node {node_id} died "
-            f"(exitcode {exitcode})"
-        )
-        with self._pending_lock:
-            doomed = [
-                (call_id, call)
-                for call_id, (call, b) in self._pending.items()
-                if b is binding
-            ]
-            for call_id, _call in doomed:
-                del self._pending[call_id]
-        for _call_id, call in doomed:
-            call.error = RpcError(reason)
-            call.done.set()
-            if call.on_done is not None:
-                call.on_done(None, call.error)
-        listener = self.liveness_listener
-        if listener is not None:
-            try:
-                listener(node_id, service, "process-exit", reason)
-            except Exception:  # noqa: S110,BLE001 -- a broken listener must not kill the reaper; liveness keeps being reported for the remaining bindings.
-                pass
-
-    def _check_liveness(self, bindings: list[_ProcessBinding]) -> None:
-        if self._draining.is_set():
-            return
-        for binding in bindings:
-            if binding.dead or binding.process is None:
-                continue
-            if not binding.process.is_alive():
-                self._fail_dead_binding(binding)
-
-    def _reap(self) -> None:
-        """Single thread draining every response ring: decode, resolve."""
-        from repro.kera.messages import ReplicateResponse
-
-        bindings = list(self._proc.values())
-        next_liveness = time.monotonic() + 0.05
-        while True:
-            now = time.monotonic()
-            if now >= next_liveness:
-                # Dead-child detection: a SIGKILLed worker never answers,
-                # so its pendings must fail instead of riding out the
-                # call timeout.
-                self._check_liveness(bindings)
-                next_liveness = now + 0.05
-            drained = True
-            for binding in bindings:
-                record = binding.responses.try_read()
+    def recv(
+        self, alive: Callable[[], bool], handle: Callable[[int, memoryview], _T]
+    ) -> _T | None:
+        record = self.rx.read(timeout=_LIVENESS_POLL_S)
+        while record is None:
+            if self.rx.closed or not alive():
+                # Dead-peer detection: a SIGKILLed worker never closes
+                # its ring. Whatever it published before going is still
+                # delivered; only an empty ring is EOF.
+                record = self.rx.try_read()
                 if record is None:
-                    continue
-                drained = False
-                kind, view = record
+                    return None
+            else:
+                record = self.rx.read(timeout=_LIVENESS_POLL_S)
+        kind, view = record
+        try:
+            return handle(kind, view)
+        finally:
+            del view, record
+            self.rx.consume()
+
+    def close_write(self) -> None:
+        self.tx.close()
+
+    def close(self) -> None:
+        if hasattr(self, "tx"):
+            del self.tx, self.rx  # the rings' views pin the blocks open
+        for shm in (self.tx_shm, self.rx_shm):
+            if shm is None:
+                continue
+            _close_shm(shm)
+            if self.owner:
                 try:
-                    if kind == KIND_ACK:
-                        call_id, ok, bytes_held = _ACK.unpack_from(view, 0)
-                        response: Any = ReplicateResponse(
-                            ok=bool(ok), bytes_held=bytes_held
-                        )
-                        error: BaseException | None = None
-                    else:
-                        call_id, response, error = pickle.loads(view)
-                except Exception:  # noqa: BLE001 - poison record
-                    # A response that cannot decode — a short/garbage ack
-                    # (struct.error) as much as an undecodable pickle —
-                    # must not kill the reaper: skip it; with no call_id
-                    # to resolve, the pending call times out or fails at
-                    # shutdown.
-                    del view
-                    binding.responses.consume()
-                    continue
-                del view
-                binding.responses.consume()
-                self._resolve(call_id, response, error)
-            if drained:
-                if self._reaper_stop.is_set():
-                    return
-                time.sleep(0.0005)
+                    shm.unlink()
+                except FileNotFoundError:  # pragma: no cover - already gone
+                    pass
+        self.tx_shm = self.rx_shm = None

@@ -1,75 +1,68 @@
-"""SocketTransport: service workers in child processes over real TCP.
+"""The TCP pipe: worker processes behind framed localhost connections.
 
-The fifth transport, and the first one that crosses a machine-shaped
-boundary: selected bindings run in *worker processes* connected to the
-parent by one TCP connection each, speaking the length-prefixed frame
-protocol of :mod:`repro.wire.netframe`. Everything not registered as a
-:class:`SocketServiceSpec` keeps the :class:`ThreadedTransport`
-behaviour, so a cluster mixes in-process broker services with
-out-of-process backups exactly like the shared-memory process mode.
+A :class:`SocketServiceSpec` binding on a
+:class:`~repro.runtime.worker.WorkerTransport` reaches its worker over
+one TCP connection speaking the length-prefixed frame protocol of
+:mod:`repro.wire.netframe` — the first pipe that crosses a
+machine-shaped boundary. What this pipe contributes to the transport:
 
-The wire discipline carries over from :mod:`repro.runtime.process`
-unchanged — the same ``KIND_REPLICATE``/``KIND_ACK`` packed forms, the
-same pickle fallback for every other method — but the boundary copy is
-now the kernel's: replicate requests are written with scatter-gather
-``sendmsg`` straight from the broker's segment views (header + length
-table + frame views, no coalescing copy), and the child reads into a
-preallocated buffer with ``recv_into``. Because the bytes crossed an
-address space, the rebuilt request carries ``frames_verified=False`` and
-the child re-validates CRCs before its store copies the frames out.
-
-Backpressure is a byte-credit window per binding: a
-:class:`~repro.replication.flow.FlowController` bounds unacked request
-payload in flight to each worker (the TCP socket buffer replaces the
-ring's physical bound), ``credit`` exposes the window's free bytes, and
-the pipelined shipper throttles on it exactly as it throttles on ring
-free bytes. ``TCP_NODELAY`` is set on both ends — consolidation is the
-shipper's adaptive batcher's job, not Nagle's.
+* **boundary copy** — the kernel's: requests are written with
+  scatter-gather ``sendmsg`` straight from the broker's segment views
+  (header + length table + frame views, no coalescing copy), and both
+  ends read into a preallocated buffer with ``recv_into``.
+  ``TCP_NODELAY`` is set on both ends — consolidation is the shipper's
+  adaptive batcher's job, not Nagle's;
+* **credit** — a :class:`~repro.replication.flow.FlowController` byte
+  window per connection bounds unacked request payload in flight (the
+  socket buffer replaces the ring's physical bound); the pipelined
+  shipper throttles on its free bytes exactly as on ring free bytes;
+* **liveness** — ``socket-eof`` (a SIGKILLed child closes its socket
+  with a clean FIN) or ``socket-error`` (reset, garbage, mid-frame
+  drop), noticed by the connection's one blocking reader thread;
+* **shutdown** — a ``SHUT_WR`` half-close: the child serves every
+  request already in the stream, pushes the responses and exits on EOF.
 
 Connection establishment is child-initiated for port-free rendezvous:
-the parent listens on an ephemeral localhost port, each spawned worker
-connects back and introduces itself with a ``KIND_HELLO`` frame naming
-its ``(node, service)`` binding, so accept order never matters.
-
-Shutdown contract (close-then-drain, as the rings): the parent half-
-closes each connection (``SHUT_WR``); the child keeps serving every
-request already in the stream, pushes the responses, and exits on EOF;
-the parent's reader threads resolve pendings until the stream is dry.
-Only calls that never reached a socket fail.
+the parent listens on an ephemeral port, each spawned worker connects
+back and introduces itself with a ``KIND_HELLO`` frame naming its
+``(node, service)`` binding, so accept order never matters. Swap the
+localhost rendezvous for real addresses and the same frames cross a
+real network.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import pickle
 import socket
 import struct
-import threading
-import time
-from dataclasses import dataclass, field
-from typing import Any
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass
+from functools import partial
+from typing import ClassVar, TypeVar
 
 from repro.common.errors import RpcError
 from repro.common.units import MB
 from repro.replication.flow import FlowController
-from repro.runtime.process import (
-    KIND_ACK,
-    KIND_PICKLE,
-    KIND_REPLICATE,
-    _ACK,
-    LivenessListener,
-    _serve,
-    encode_replicate,
+from repro.runtime.worker import (
+    ParentEnd,
+    Part,
+    PipeBroken,
+    PipeEnd,
+    Rendezvous,
+    WorkerSpec,
+    WorkerTransport,
 )
-from repro.runtime.threaded import ThreadedTransport, _PendingCall
-from repro.runtime.transport import CallCallback
-from repro.wire.netframe import (
-    FrameProtocolError,
-    FrameReceiver,
-    send_frame,
-)
+from repro.wire.netframe import FrameProtocolError, FrameReceiver, send_frame
 
-#: Frame kinds beyond the shared request/response kinds: the child's
+__all__ = ["SocketServiceSpec", "SocketTransport"]
+
+#: The transport class is shared by both pipes; the *spec* a binding is
+#: registered with picks the pipe. The name stays for callers that build
+#: a TCP-backed cluster.
+SocketTransport = WorkerTransport
+
+_T = TypeVar("_T")
+
+#: Frame kind beyond the shared request/response kinds: the child's
 #: self-introduction after connecting back to the parent's rendezvous
 #: listener. Payload: ``<q`` node_id + utf-8 service name.
 KIND_HELLO = 8
@@ -77,276 +70,50 @@ _HELLO_HEAD = struct.Struct("<q")
 
 
 @dataclass(frozen=True)
-class SocketServiceSpec:
-    """A service binding to run in a worker process behind a TCP socket.
+class SocketServiceSpec(WorkerSpec):
+    """A worker-process binding reached over a framed TCP connection."""
 
-    ``factory(**kwargs)`` is invoked *in the child* to build the service
-    (an object with ``handle(method, request)``); both must be picklable
-    and importable from a module top level so the spawn start method
-    works too. The parent never constructs the service — state lives
-    exclusively in the child, reachable only through framed RPCs.
-    """
-
-    factory: Any
-    kwargs: dict[str, Any] = field(default_factory=dict)
     #: Byte-credit window: unacked request payload in flight to this
     #: worker (the sockets analog of the request ring's data bytes).
     window_bytes: int = 4 * MB
     #: Per-frame payload ceiling on both directions of the connection.
     max_frame_bytes: int = 64 * MB
 
-
-def _configure_stream_socket(sock: socket.socket) -> None:
-    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-
-
-def _socket_service_worker(
-    factory: Any,
-    kwargs: dict[str, Any],
-    host: str,
-    port: int,
-    node_id: int,
-    name: str,
-    max_frame_bytes: int,
-) -> None:
-    """Child process main: serve framed requests until EOF, then drain out.
-
-    Mirrors the ring worker's contract: a poison record (malformed
-    replicate head, undecodable pickle) is skipped — the caller times
-    out, later requests still get served — while a garbage *frame*
-    (bad magic) is unrecoverable on a byte stream and ends the worker.
-    """
-    sock = socket.create_connection((host, port), timeout=30.0)
-    service: Any = None
-    try:
-        _configure_stream_socket(sock)
-        sock.settimeout(None)
-        hello = _HELLO_HEAD.pack(node_id) + name.encode("utf-8")
-        send_frame(sock, KIND_HELLO, [hello])
-        service = factory(**kwargs)
-        receiver = FrameReceiver(sock, max_frame_bytes=max_frame_bytes)
-        while True:
-            try:
-                record = receiver.recv_frame()
-            except FrameProtocolError:
-                break  # garbage / mid-frame drop: no resync on a stream
-            if record is None:
-                break  # parent half-closed and the stream is drained
-            kind, view = record
-            try:
-                try:
-                    out_kind, parts = _serve(service, kind, view)
-                finally:
-                    del view
-            except Exception:  # noqa: BLE001 -- a poison record must not wedge the stream: the frame was fully consumed, the caller times out, later requests still get served.
-                continue
-            try:
-                send_frame(sock, out_kind, parts)
-            except OSError:
-                break  # parent reader gone; it will fail the pending call
-    finally:
-        close = getattr(service, "close", None)
-        if callable(close):
-            try:
-                # Service shutdown hook: lets a durable backup drain its
-                # flusher and fsync segment files before the child exits.
-                close()
-            except Exception:  # noqa: S110 -- nothing to relay to: the socket is closing; a failed drain must not mask the clean exit path.
-                pass
-        try:
-            sock.close()
-        except OSError:  # pragma: no cover - close on a dead socket
-            pass
+    def open_pipe(self, key: tuple[int, str]) -> ParentEnd:
+        return _TcpEnd(key, self.window_bytes, self.max_frame_bytes)
 
 
-class _SocketBinding:
-    """Parent-side endpoint of one worker process."""
+class _TcpRendezvous:
+    """The parent's ephemeral listener: accept, read hello, attach."""
 
-    def __init__(self, key: tuple[int, str], spec: SocketServiceSpec) -> None:
-        self.key = key
-        self.spec = spec
-        # Concurrent parent callers (several brokers shipping to one
-        # backup) serialize their vectored writes on this lock.
-        self.write_lock = threading.Lock()
-        self.flow = FlowController(spec.window_bytes)
-        self.sock: socket.socket | None = None
-        self.receiver: FrameReceiver | None = None
-        self.reader: threading.Thread | None = None
-        self.process: multiprocessing.process.BaseProcess | None = None
-        self.dead = False
-
-    def spawn(
-        self,
-        ctx: multiprocessing.context.BaseContext,
-        host: str,
-        port: int,
-    ) -> None:
-        self.process = ctx.Process(
-            target=_socket_service_worker,
-            args=(
-                self.spec.factory,
-                self.spec.kwargs,
-                host,
-                port,
-                self.key[0],
-                self.key[1],
-                self.spec.max_frame_bytes,
-            ),
-            name=f"{self.key[1]}@{self.key[0]}:tcp",
-            daemon=True,
-        )
-        self.process.start()
-
-    def attach(self, sock: socket.socket) -> None:
-        _configure_stream_socket(sock)
-        sock.settimeout(None)
-        self.sock = sock
-        self.receiver = FrameReceiver(
-            sock, max_frame_bytes=self.spec.max_frame_bytes
-        )
-
-    def half_close(self) -> None:
-        if self.sock is not None:
-            try:
-                self.sock.shutdown(socket.SHUT_WR)
-            except OSError:  # pragma: no cover - peer already gone
-                pass
-
-    def destroy(self) -> None:
-        if self.process is not None and self.process.is_alive():
-            self.process.terminate()
-            self.process.join(timeout=5.0)
-        if self.sock is not None:
-            try:
-                self.sock.close()
-            except OSError:  # pragma: no cover - already closed
-                pass
-            self.sock = None
-        self.receiver = None
-
-
-class SocketTransport(ThreadedTransport):
-    """ThreadedTransport plus process-hosted bindings over framed TCP."""
-
-    def __init__(
-        self,
-        *,
-        queue_depth: int = 128,
-        workers_per_service: int = 2,
-        call_timeout: float = 30.0,
-        write_timeout: float = 5.0,
-        host: str = "127.0.0.1",
-        accept_timeout: float = 30.0,
-    ) -> None:
-        super().__init__(
-            queue_depth=queue_depth,
-            workers_per_service=workers_per_service,
-            call_timeout=call_timeout,
-        )
-        #: How long a send may wait on the credit window before failing.
-        self.write_timeout = write_timeout
-        self.host = host
+    def __init__(self, host: str, backlog: int, accept_timeout: float) -> None:
         self.accept_timeout = accept_timeout
-        self._sockets: dict[tuple[int, str], _SocketBinding] = {}  # guarded-by: _state_lock
-        self._pending_lock = threading.Lock()
-        #: call_id -> (pending call, its binding, credited payload bytes)
-        self._pending: dict[int, tuple[_PendingCall, _SocketBinding, int]] = {}  # guarded-by: _pending_lock
-        self._next_call_id = 0  # guarded-by: _pending_lock
-        self._listener: socket.socket | None = None
-        #: Clean-shutdown flag: the EOF that follows our own half-close
-        #: is expected and must not be reported as a worker failure.
-        self._draining = threading.Event()
-        #: Settable hook: called ``(node_id, service, source, reason)``
-        #: when a worker connection drops outside shutdown (the socket
-        #: analogue of the process transport's dead-child detection).
-        self.liveness_listener: LivenessListener | None = None
+        self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        self._sock.bind((host, 0))
+        self._sock.listen(backlog)
+        self._sock.settimeout(accept_timeout)
+        self.address: tuple[str, int] = self._sock.getsockname()
 
-    # -- registration / lifecycle -------------------------------------------
-
-    def register(
-        self, node_id: int, name: str, service: Any, *, workers: int | None = None
-    ) -> None:
-        if not isinstance(service, SocketServiceSpec):
-            with self._state_lock:
-                taken = (node_id, name) in self._sockets
-            if taken:
-                raise RpcError(f"service {name!r} already registered on node {node_id}")
-            super().register(node_id, name, service, workers=workers)
-            return
-        with self._state_lock:
-            if self._started:
-                raise RpcError("cannot register services on a started transport")
-            key = (node_id, name)
-            if key in self._sockets or key in self._bindings:
-                raise RpcError(f"service {name!r} already registered on node {node_id}")
-            self._sockets[key] = _SocketBinding(key, service)
-
-    def listen_address(self) -> tuple[str, int]:
-        """The rendezvous listener's ``(host, port)`` (started transports)."""
-        if self._listener is None:
-            raise RpcError("transport not started (no rendezvous listener)")
-        addr: tuple[str, int] = self._listener.getsockname()
-        return addr
-
-    def connection_count(self) -> int:
-        """Live worker connections (monitoring / test surface)."""
-        with self._state_lock:
-            bindings = list(self._sockets.values())
-        return sum(
-            1 for b in bindings if b.sock is not None and not b.dead
-        )
-
-    def start(self) -> None:
-        with self._state_lock:
-            if self._started:
-                return
-            bindings = list(self._sockets.values())
-        if bindings:
-            listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            listener.bind((self.host, 0))
-            listener.listen(len(bindings))
-            listener.settimeout(self.accept_timeout)
-            self._listener = listener
-            host, port = listener.getsockname()
-            # Workers come up before any thread-hosted service can issue
-            # a call toward them; the fork context keeps startup cheap
-            # (children never touch inherited cluster state — only their
-            # own socket).
-            methods = multiprocessing.get_all_start_methods()
-            ctx = multiprocessing.get_context(
-                "fork" if "fork" in methods else "spawn"
-            )
-            for binding in bindings:
-                binding.spawn(ctx, host, port)
-            unmatched = {b.key: b for b in bindings}
-            while unmatched:
-                try:
-                    conn, _addr = listener.accept()
-                except TimeoutError:
-                    raise RpcError(
-                        f"socket service worker(s) {sorted(unmatched)} did "
-                        f"not connect within {self.accept_timeout}s"
-                    ) from None
-                key = self._read_hello(conn)
-                binding = unmatched.pop(key, None)
-                if binding is None:
-                    conn.close()
-                    raise RpcError(f"unexpected hello from unknown binding {key}")
-                binding.attach(conn)
-            for binding in bindings:
-                binding.reader = threading.Thread(
-                    target=self._read_loop,
-                    args=(binding,),
-                    name=f"socket-reader-{binding.key[1]}@{binding.key[0]}",
-                    daemon=True,
-                )
-                binding.reader.start()
-        super().start()
+    def accept(self, pipes: dict[tuple[int, str], _TcpEnd]) -> None:
+        unmatched = dict(pipes)
+        while unmatched:
+            try:
+                conn, _addr = self._sock.accept()
+            except TimeoutError:
+                raise RpcError(
+                    f"socket service worker(s) {sorted(unmatched)} did "
+                    f"not connect within {self.accept_timeout}s"
+                ) from None
+            key = self._read_hello(conn)
+            pipe = unmatched.pop(key, None)
+            if pipe is None:
+                conn.close()
+                raise RpcError(f"unexpected hello from unknown binding {key}")
+            pipe.attach(conn)
 
     def _read_hello(self, conn: socket.socket) -> tuple[int, str]:
         conn.settimeout(self.accept_timeout)
-        receiver = FrameReceiver(conn, max_frame_bytes=1024)
-        record = receiver.recv_frame()
+        record = FrameReceiver(conn, max_frame_bytes=1024).recv_frame()
         if record is None:
             raise RpcError("worker connection closed before hello")
         kind, view = record
@@ -356,255 +123,96 @@ class SocketTransport(ThreadedTransport):
         name = bytes(view[_HELLO_HEAD.size :]).decode("utf-8")
         return (node_id, name)
 
-    def shutdown(self) -> None:
-        with self._state_lock:
-            bindings = list(self._sockets.values())
-            already_closed = self._closed
-        if not already_closed:
-            # Close-then-drain: children serve every request already in
-            # their stream, push the responses, and exit; reader threads
-            # keep resolving pendings until the streams are dry.
-            self._draining.set()
-            for binding in bindings:
-                binding.half_close()
-            for binding in bindings:
-                if binding.process is not None:
-                    binding.process.join(timeout=10.0)
-            deadline = time.monotonic() + 5.0
-            while time.monotonic() < deadline:
-                with self._pending_lock:
-                    if not self._pending:
-                        break
-                time.sleep(0.001)
-            for binding in bindings:
-                if binding.reader is not None:
-                    binding.reader.join(timeout=5.0)
-            with self._pending_lock:
-                leftover = list(self._pending.values())
-                self._pending.clear()
-            for call, binding, nbytes in leftover:
-                binding.flow.release(nbytes)
-                call.error = RpcError("transport shut down with call in flight")
-                call.done.set()
-                if call.on_done is not None:
-                    call.on_done(None, call.error)
-            for binding in bindings:
-                binding.destroy()
-            if self._listener is not None:
-                self._listener.close()
-        super().shutdown()
+    def close(self) -> None:
+        self._sock.close()
 
-    # -- call path -----------------------------------------------------------
 
-    def credit(self, dst: int, service: str) -> int:
-        binding = self._sockets.get((dst, service))
-        if binding is None:
-            return super().credit(dst, service)
-        return binding.flow.credit()
+class _TcpEnd:
+    """Either end of one connection; the parent's also holds the credit
+    window (the child's stays unused)."""
 
-    def worker_pid(self, node_id: int, service: str) -> int | None:
-        """The OS pid of a socket-hosted binding's worker, if any.
+    rendezvous: ClassVar[type[Rendezvous] | None] = _TcpRendezvous
+    eof_source: ClassVar[str] = "socket-eof"
+    error_source: ClassVar[str] = "socket-error"
 
-        Chaos tooling uses this to aim real SIGKILLs; thread-hosted
-        bindings have no pid of their own and return None.
-        """
-        binding = self._sockets.get((node_id, service))
-        if binding is None or binding.process is None:
-            return None
-        return binding.process.pid
+    def __init__(
+        self, key: tuple[int, str], window_bytes: int, max_frame_bytes: int
+    ) -> None:
+        self.key = key
+        self.max_frame_bytes = max_frame_bytes
+        self.flow = FlowController(window_bytes)
+        self.sock: socket.socket | None = None
+        self.receiver: FrameReceiver | None = None
 
-    def _submit(
-        self,
-        dst: int,
-        service: str,
-        method: str,
-        request: Any,
-        on_done: CallCallback | None,
-    ) -> _PendingCall:
-        from repro.kera.messages import ReplicateRequest
+    def attach(self, sock: socket.socket) -> None:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        sock.settimeout(None)
+        self.sock = sock
+        self.receiver = FrameReceiver(sock, max_frame_bytes=self.max_frame_bytes)
 
-        binding = self._sockets[(dst, service)]
-        if binding.dead:
-            raise RpcError(
-                f"connection to {service!r} on node {dst} is down"
-            )
-        if (
-            method == "replicate"
-            and isinstance(request, ReplicateRequest)
-            and request.frames is not None
-        ):
-            kind = KIND_REPLICATE
-            encode = encode_replicate
-        else:
-            kind = KIND_PICKLE
-            encode = None
-        call = _PendingCall(method, request, on_done)
-        with self._pending_lock:
-            call_id = self._next_call_id
-            self._next_call_id += 1
-        if encode is not None:
-            parts = encode(call_id, request)
-        else:
-            parts = [pickle.dumps((call_id, method, request))]
-        nbytes = sum(len(p) for p in parts)
-        # Credit first (bounded wait, mirroring the ring's full-write
-        # timeout), then register and send.
-        if not binding.flow.acquire(nbytes, timeout=self.write_timeout):
-            raise RpcError(
-                f"credit window full for {service!r} on node {dst} "
-                f"(no credit after {self.write_timeout}s)"
-            )
-        with self._pending_lock:
-            self._pending[call_id] = (call, binding, nbytes)
+    @classmethod
+    def dial(
+        cls, address: tuple[str, int], key: tuple[int, str], max_frame_bytes: int
+    ) -> _TcpEnd:
+        """Child side: connect back to the parent and say hello."""
+        end = cls(key, 0, max_frame_bytes)
+        sock = socket.create_connection(address, timeout=30.0)
         try:
-            with binding.write_lock:
-                send_frame(binding.sock, kind, parts)  # type: ignore[arg-type]
-        except BaseException as exc:
-            with self._pending_lock:
-                self._pending.pop(call_id, None)
-            binding.flow.release(nbytes)
+            end.attach(sock)
+            node_id, name = key
+            hello = _HELLO_HEAD.pack(node_id) + name.encode("utf-8")
+            send_frame(sock, KIND_HELLO, [hello])
+        except BaseException:
+            sock.close()
+            raise
+        return end
+
+    def child_opener(self, address: tuple[str, int] | None) -> Callable[[], PipeEnd]:
+        assert address is not None
+        return partial(_TcpEnd.dial, address, self.key, self.max_frame_bytes)
+
+    def credit(self) -> int:
+        return self.flow.credit()
+
+    def reserve(self, nbytes: int, timeout: float) -> bool:
+        return self.flow.acquire(nbytes, timeout=timeout)
+
+    def release(self, nbytes: int) -> None:
+        self.flow.release(nbytes)
+
+    def send(self, kind: int, parts: Sequence[Part], timeout: float) -> None:
+        try:
+            send_frame(self.sock, kind, parts)  # type: ignore[arg-type]
+        except OSError as exc:
+            node_id, service = self.key
             raise RpcError(
-                f"send to {service!r} on node {dst} failed: {exc!r}"
+                f"send for {service!r} on node {node_id} failed: {exc!r}"
             ) from exc
-        return call
 
-    def call(
-        self,
-        src: int,
-        dst: int,
-        service: str,
-        method: str,
-        request: Any,
-        request_bytes: int = 0,
-    ) -> Any:
-        if (dst, service) not in self._sockets:
-            return super().call(src, dst, service, method, request, request_bytes)
-        if not self._started:
-            raise RpcError("transport not started")
-        if self._closed:
-            raise RpcError("transport is shut down")
-        call = self._submit(dst, service, method, request, None)
-        if not call.done.wait(self.call_timeout):
-            raise RpcError(
-                f"{service}.{method} on node {dst} timed out after {self.call_timeout}s"
-            )
-        if call.error is not None:
-            raise call.error
-        return call.response
+    def recv(
+        self, alive: Callable[[], bool], handle: Callable[[int, memoryview], _T]
+    ) -> _T | None:
+        assert self.receiver is not None
+        try:
+            record = self.receiver.recv_frame()
+        except (FrameProtocolError, OSError) as exc:
+            raise PipeBroken(str(exc)) from exc
+        # The view aliases the receive buffer the next recv overwrites,
+        # so it is handled here, before the caller can ask again.
+        return None if record is None else handle(*record)
 
-    def call_async(
-        self,
-        src: int,
-        dst: int,
-        service: str,
-        method: str,
-        request: Any,
-        request_bytes: int = 0,
-        *,
-        on_done: CallCallback,
-    ) -> None:
-        if (dst, service) not in self._sockets:
-            super().call_async(
-                src, dst, service, method, request, request_bytes, on_done=on_done
-            )
-            return
-        if not self._started:
-            raise RpcError("transport not started")
-        if self._closed:
-            raise RpcError("transport is shut down")
-        self._submit(dst, service, method, request, on_done)
-
-    # -- response readers ------------------------------------------------------
-
-    def _resolve(
-        self, call_id: int, response: Any, error: BaseException | None
-    ) -> None:
-        with self._pending_lock:
-            entry = self._pending.pop(call_id, None)
-        if entry is None:  # pragma: no cover - late ack after shutdown
-            return
-        call, binding, nbytes = entry
-        binding.flow.release(nbytes)
-        call.response = response
-        call.error = error
-        call.done.set()
-        if call.on_done is not None:
-            call.on_done(response, error)
-
-    def _fail_binding(
-        self, binding: _SocketBinding, reason: str, *, source: str = "socket-error"
-    ) -> None:
-        """Connection lost: fail every pending call routed through it."""
-        binding.dead = True
-        with self._pending_lock:
-            doomed = [
-                (call_id, call, nbytes)
-                for call_id, (call, b, nbytes) in self._pending.items()
-                if b is binding
-            ]
-            for call_id, _call, _nbytes in doomed:
-                del self._pending[call_id]
-        for _call_id, call, nbytes in doomed:
-            binding.flow.release(nbytes)
-            call.error = RpcError(reason)
-            call.done.set()
-            if call.on_done is not None:
-                call.on_done(None, call.error)
-        listener = self.liveness_listener
-        if listener is not None and not self._draining.is_set():
-            node_id, service = binding.key
+    def close_write(self) -> None:
+        if self.sock is not None:
             try:
-                listener(node_id, service, source, reason)
-            except Exception:  # noqa: S110,BLE001 -- a broken listener must not kill the reader thread; the binding is already marked dead and its pendings failed.
+                self.sock.shutdown(socket.SHUT_WR)
+            except OSError:  # pragma: no cover - peer already gone
                 pass
 
-    def _read_loop(self, binding: _SocketBinding) -> None:
-        """One thread per worker connection: decode responses, resolve."""
-        from repro.kera.messages import ReplicateResponse
-
-        receiver = binding.receiver
-        assert receiver is not None
-        while True:
+    def close(self) -> None:
+        if self.sock is not None:
             try:
-                record = receiver.recv_frame()
-            except (FrameProtocolError, OSError) as exc:
-                self._fail_binding(
-                    binding,
-                    f"worker connection for {binding.key[1]!r} on node "
-                    f"{binding.key[0]} broke: {exc}",
-                )
-                return
-            if record is None:
-                if self._draining.is_set():
-                    return  # clean EOF: child drained and exited
-                # EOF without a shutdown in progress: the worker died (a
-                # SIGKILLed child closes its socket with a clean FIN, so
-                # this is the only signal a kill leaves). Fail the
-                # binding's pendings instead of letting them ride out
-                # the call timeout.
-                self._fail_binding(
-                    binding,
-                    f"worker connection for {binding.key[1]!r} on node "
-                    f"{binding.key[0]} closed unexpectedly (worker died)",
-                    source="socket-eof",
-                )
-                return
-            kind, view = record
-            try:
-                if kind == KIND_ACK:
-                    call_id, ok, bytes_held = _ACK.unpack_from(view, 0)
-                    response: Any = ReplicateResponse(
-                        ok=bool(ok), bytes_held=bytes_held
-                    )
-                    error: BaseException | None = None
-                else:
-                    call_id, response, error = pickle.loads(view)
-            except Exception:  # noqa: BLE001 - poison response record
-                # A response that cannot decode — a short/garbage ack as
-                # much as an undecodable pickle — must not kill the
-                # reader: skip it; with no call_id to resolve, the
-                # pending call times out or fails at shutdown.
-                del view
-                continue
-            del view
-            self._resolve(call_id, response, error)
+                self.sock.close()
+            except OSError:  # pragma: no cover - already closed
+                pass
+            self.sock = None
+        self.receiver = None

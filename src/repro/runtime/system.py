@@ -69,17 +69,22 @@ class KeraSystem(SystemAdapter):
                     config, "fanout_cache_bytes", 64 * 1024 * 1024
                 ),
             )
-            storage_dir = config.storage_dir
-            self.backup_cores[node] = KeraBackupCore(
-                node_id=node,
-                materialize=config.storage.materialize,
-                flush_threshold=config.flush_threshold,
-                disk_dir=(
-                    f"{storage_dir}/node{node}" if storage_dir is not None else None
-                ),
-                fsync_policy=config.replication.fsync_policy,
-                spill=config.replication.spill_sealed,
-            )
+            self.backup_cores[node] = KeraBackupCore(**self.backup_core_kwargs(node))
+
+    def backup_core_kwargs(self, node: int) -> dict[str, Any]:
+        """``KeraBackupCore`` constructor arguments for one node — plain
+        picklable values, so a driver can build the same core in a
+        worker process instead."""
+        config = self.config
+        storage_dir = config.storage_dir
+        return {
+            "node_id": node,
+            "materialize": config.storage.materialize,
+            "flush_threshold": config.flush_threshold,
+            "disk_dir": f"{storage_dir}/node{node}" if storage_dir is not None else None,
+            "fsync_policy": config.replication.fsync_policy,
+            "spill": config.replication.spill_sealed,
+        }
 
     def on_stream_created(self, meta: Any) -> None:
         for node in self.node_ids:

@@ -141,9 +141,13 @@ class ThreadedTransport(Transport):
     ) -> Any:
         call = _PendingCall(method, request)
         self._enqueue(dst, service, call, self.call_timeout)
+        return self._wait(call, dst, service)
+
+    def _wait(self, call: _PendingCall, dst: int, service: str) -> Any:
+        """Block the caller on a submitted call; re-raise its error."""
         if not call.done.wait(self.call_timeout):
             raise RpcError(
-                f"{service}.{method} on node {dst} timed out "
+                f"{service}.{call.method} on node {dst} timed out "
                 f"after {self.call_timeout}s"
             )
         if call.error is not None:

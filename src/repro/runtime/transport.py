@@ -13,7 +13,10 @@ travels:
 * :class:`repro.runtime.threaded.ThreadedTransport` — the request is
   enqueued on the target (node, service) bounded queue and executed by
   that service's worker threads; ``call`` blocks until the response (or
-  a timeout) and returns it.
+  a timeout) and returns it;
+* :class:`repro.runtime.worker.WorkerTransport` — the threaded transport
+  plus bindings hosted in worker processes, each reached over the pipe
+  (shared-memory rings or framed TCP) its spec picks.
 
 Live (non-sim) services implement ``handle(method, request) -> response``
 and may block (e.g. a produce handler parking until replication acks);

@@ -1,6 +1,6 @@
 """Length-prefixed frame protocol for stream sockets.
 
-The socket transport (``repro.runtime.socket_transport``) and the asyncio
+The worker transport's TCP pipe (``repro.runtime.socket_transport``) and the asyncio
 client gateway (``repro.gateway``) move the existing zero-copy wire
 frames over TCP. A *frame* is one length-prefixed message::
 

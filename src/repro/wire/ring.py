@@ -1,13 +1,14 @@
 """Single-producer/single-consumer byte ring for shared-memory transports.
 
-The process transport (``repro.runtime.process``) moves replication
+The shared-memory pipe (``repro.runtime.process``) moves replication
 frames between a broker and its backup workers through two of these per
 binding (request ring + response ring), each living in one
 ``multiprocessing.shared_memory`` block. The ring itself is agnostic to
 where its bytes live: it wraps any writable buffer, so unit tests drive
 it over a plain ``bytearray``.
 
-Layout (all little-endian)::
+Layout (little-endian; the two counters in native byte order, which is
+the same thing on every host both ends of a ring can share)::
 
     [0:8)   head  u64  monotonic bytes published by the writer
     [8:16)  tail  u64  monotonic bytes consumed by the reader
@@ -28,9 +29,13 @@ copies the payload into the data region *before* publishing ``head``
 (single aligned 8-byte store), so the reader never observes a partially
 written record; the reader hands out a zero-copy view into the ring and
 only advances ``tail`` on :meth:`consume`, after which the writer may
-reuse those bytes. CPython executes each counter store as one ``memcpy``
-under the GIL-independent buffer protocol — an aligned 8-byte store,
-atomic on every platform we target.
+reuse those bytes. The counters are read and written through a
+``'Q'``-typed view of the header: CPython stores an item of such a view
+with one 8-byte ``memcpy`` — an aligned 8-byte store, atomic on every
+platform we target. (``struct.pack_into`` is *not* such a store: it
+zeroes the destination before writing the value, so the other process
+could observe a counter of 0 in between and run off into unwritten
+bytes.)
 
 ``free_bytes`` doubles as the transport's credit signal: a full ring is
 backpressure, propagated to the shipper instead of blocking producers.
@@ -45,8 +50,8 @@ from collections.abc import Sequence
 from repro.common.errors import RpcError
 
 HEADER_SIZE = 64
-_HEAD = struct.Struct("<Q")  # at offset 0
-_TAIL = struct.Struct("<Q")  # at offset 8
+#: Indices into the header's u64 view (byte offsets 0 and 8).
+_HEAD, _TAIL = 0, 1
 _CLOSED = struct.Struct("<I")  # at offset 16
 _RECORD = struct.Struct("<II")  # [payload_len][kind]
 RECORD_HEADER = _RECORD.size  # 8
@@ -79,6 +84,7 @@ class SpscRing:
         if self.capacity < 2 * RECORD_HEADER:
             raise RpcError("ring capacity too small for any record")
         self._buf = view  # borrows: buf -- the ring aliases the caller's shared-memory block for its whole lifetime
+        self._counters = view[:16].cast("Q")  # borrows: buf
         self._data = view[HEADER_SIZE : HEADER_SIZE + self.capacity]  # borrows: buf
         if reset:
             view[:HEADER_SIZE] = bytes(HEADER_SIZE)
@@ -89,11 +95,11 @@ class SpscRing:
 
     @property
     def _head(self) -> int:
-        return _HEAD.unpack_from(self._buf, 0)[0]
+        return int(self._counters[_HEAD])
 
     @property
     def _tail(self) -> int:
-        return _TAIL.unpack_from(self._buf, 8)[0]
+        return int(self._counters[_TAIL])
 
     @property
     def closed(self) -> bool:
@@ -148,7 +154,7 @@ class SpscRing:
             offset += len(view)
         # Publish: payload bytes first, then the head store makes the
         # record visible to the reader.
-        _HEAD.pack_into(self._buf, 0, head + needed)
+        self._counters[_HEAD] = head + needed
         return True
 
     def write(
@@ -184,7 +190,7 @@ class SpscRing:
             payload_len, kind = _RECORD.unpack_from(self._data, pos)
             total = RECORD_HEADER + _align8(payload_len)
             if kind == KIND_PAD:
-                _TAIL.pack_into(self._buf, 8, tail + total)
+                self._counters[_TAIL] = tail + total
                 continue
             self._peeked = total
             start = pos + RECORD_HEADER
@@ -194,7 +200,7 @@ class SpscRing:
         """Release the record returned by the last :meth:`try_read`."""
         if self._peeked == 0:
             raise RpcError("consume without a peeked record")
-        _TAIL.pack_into(self._buf, 8, self._tail + self._peeked)
+        self._counters[_TAIL] = self._tail + self._peeked
         self._peeked = 0
 
     def read(self, timeout: float | None = None) -> tuple[int, memoryview] | None:
@@ -208,7 +214,9 @@ class SpscRing:
             if record is not None:
                 return record
             if self.closed:
-                return None
+                # The closer may have published its last record between
+                # our peek and its close: look once more before EOF.
+                return self.try_read()
             if deadline is not None and time.monotonic() >= deadline:
                 return None
             time.sleep(delay)

@@ -121,6 +121,38 @@ def test_refused_pings_expire_the_lease():
     assert not detector.is_down(1)
 
 
+def test_slow_recovery_does_not_expire_healthy_leases():
+    """``on_down`` runs on the detector thread; while it does, no ping
+    goes out. A recovery longer than the lease used to come back to find
+    every survivor's lease run down and declare the whole cluster dead
+    (seen as a chaos run whose survivors all "missed" their heartbeat
+    on a busy machine)."""
+    cluster = _StubCluster()
+    verdicts = []
+    recovered = threading.Event()
+
+    def on_down(verdict):
+        verdicts.append(verdict)
+        if verdict.node_id == 2:
+            time.sleep(0.3)  # six leases long
+            recovered.set()
+
+    detector = FailureDetector(
+        cluster, heartbeat_interval=0.01, lease_timeout=0.05, on_down=on_down
+    )
+    detector.start()
+    try:
+        time.sleep(0.05)  # healthy pings first
+        detector.report_dead(2, "kill", source="report")
+        assert recovered.wait(5.0)
+        time.sleep(0.1)  # heartbeats resume; a false verdict would land here
+    finally:
+        detector.stop()
+    assert [v.node_id for v in verdicts] == [2]
+    assert not detector.is_down(0)
+    assert not detector.is_down(1)
+
+
 def test_heartbeat_detects_fenced_broker_on_threaded_cluster():
     """No transport-level death to lean on: the broker service is merely
     wedged (fenced), so only the lease expiry can call it dead."""

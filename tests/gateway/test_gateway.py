@@ -9,6 +9,7 @@ and a several-dozen-connection concurrency smoke.
 
 import asyncio
 import socket
+import time
 
 import pytest
 
@@ -172,4 +173,10 @@ def test_many_concurrent_connections_zero_loss(gateway):
     asyncio.run(run())
     assert gateway.stats.connections_accepted >= connections + 1
     assert gateway.stats.errors_returned == 0
+    # The client side of every connection is closed, but the gauge drops
+    # in the server loop's per-connection ``finally`` — which runs when
+    # the loop next gets to it, not when the client returns.
+    deadline = time.monotonic() + 5.0
+    while gateway.stats.connections_open and time.monotonic() < deadline:
+        time.sleep(0.01)
     assert gateway.stats.connections_open == 0

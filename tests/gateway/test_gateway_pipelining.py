@@ -130,9 +130,9 @@ def test_sigkilled_backup_relays_gw_error_without_leaks(tmp_path):
                     # replicates through it, so the next produce cannot
                     # become durable.
                     victim = max(cluster.system.node_ids)
-                    binding = cluster.transport._sockets[(victim, "backup")]
-                    assert binding.process is not None
-                    os.kill(binding.process.pid, signal.SIGKILL)
+                    pid = cluster.transport.worker_pid(victim, "backup")
+                    assert pid is not None
+                    os.kill(pid, signal.SIGKILL)
                     for i in range(50):
                         producer.send(f"lost-{i}".encode())
                     # The wire relays the replication failure as a typed

@@ -130,15 +130,16 @@ def _await_flush_lag_zero(cluster, timeout=30.0):
 
 def _sigkill_backup_children(cluster):
     """The process-mode power loss: SIGKILL every backup worker."""
-    killed = 0
-    for (_, name), binding in cluster.transport._proc.items():
-        assert name == "backup"
-        process = binding.process
-        if process is not None and process.is_alive():
-            os.kill(process.pid, signal.SIGKILL)
-            process.join(timeout=10.0)
-            killed += 1
-    return killed
+    transport = cluster.transport
+    pids = [transport.worker_pid(n, "backup") for n in cluster.system.node_ids]
+    for pid in pids:
+        os.kill(pid, signal.SIGKILL)
+    # The transport notices each death and drops the link.
+    deadline = time.monotonic() + 10.0
+    while transport.connection_count() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert transport.connection_count() == 0
+    return len(pids)
 
 
 @pytest.mark.parametrize("fsync_policy", POLICIES)

@@ -1,11 +1,13 @@
-"""ProcessTransport: shm-ring RPCs to child processes, drain on shutdown."""
+"""WorkerTransport over the shared-memory ring pipe.
 
-import threading
-import time
+The contract suite (``worker_transport_contract``) bound to
+``ProcessServiceSpec``, plus what only this pipe has: the packed
+replicate codec's round trip and the ring's physical credit bound.
+"""
 
 import pytest
 
-from repro.common.errors import ChecksumError, RpcError
+from repro.common.errors import RpcError
 from repro.common.units import KB
 from repro.runtime.process import (
     ProcessServiceSpec,
@@ -13,140 +15,33 @@ from repro.runtime.process import (
     decode_replicate,
     encode_replicate,
 )
-from repro.kera.messages import ReplicateRequest, ReplicateResponse
-from repro.wire.chunk import CHUNK_HEADER_SIZE, ChunkBuilder
-from repro.wire.record import Record
 
-
-class Echo:
-    """Minimal picklable service for the generic (pickle) path."""
-
-    def __init__(self, suffix=""):
-        self.suffix = suffix
-
-    def handle(self, method, request):
-        if method == "boom":
-            raise ValueError("kapow")
-        if method == "slow":
-            time.sleep(request)
-            return "slept"
-        return f"{method}:{request}{self.suffix}"
-
-
-class FrameCounter:
-    """Backup-shaped service: validates and counts replicated frames."""
-
-    def __init__(self):
-        from repro.replication.backup_store import BackupStore
-
-        self.store = BackupStore(node_id=9, materialize=True)
-
-    def handle(self, method, request):
-        assert method == "replicate"
-        # The transport copied the frames across the ring, so the bit
-        # must have been cleared — the child-side re-validation is the
-        # whole point of validate-at-boundary.
-        assert not request.frames_verified
-        segment = self.store.append_frames(
-            src_broker=request.src_broker,
-            vlog_id=request.vlog_id,
-            vseg_id=request.vseg_id,
-            frames=request.frames,
-            segment_capacity=request.vseg_capacity,
-        )
-        return ReplicateResponse(ok=True, bytes_held=segment.bytes_held)
-
-
-def frame_request(values, corrupt=False):
-    builder = ChunkBuilder(4 * KB, stream_id=1, streamlet_id=0, producer_id=0)
-    frames = []
-    for seq, value in enumerate(values):
-        assert builder.try_append(Record(value=value))
-        chunk = builder.build(seq)
-        frame = bytearray(chunk.encoded_frame())
-        if corrupt:
-            frame[CHUNK_HEADER_SIZE] ^= 0xFF  # flip a payload byte
-        frames.append(bytes(frame))
-    return ReplicateRequest(
-        src_broker=0,
-        vlog_id=0,
-        vseg_id=0,
-        vseg_capacity=1 * KB * 1024,
-        batch_checksum=0,
-        frames=tuple(frames),
-        frames_verified=True,  # the transport must clear this in transit
-    )
+from tests.runtime import worker_transport_contract as contract
+from tests.runtime.worker_transport_contract import (  # noqa: F401 - collected here
+    Echo,
+    TestGenericPath,
+    TestRobustness,
+    TestShutdownDrain,
+    frame_request,
+    transport,
+)
 
 
 @pytest.fixture
-def transport():
-    t = ProcessTransport(call_timeout=20.0)
-    yield t
-    t.shutdown()
+def spec():
+    def build(factory, kwargs=None, credit_bytes=None):
+        sizing = {} if credit_bytes is None else {"ring_bytes": credit_bytes}
+        return ProcessServiceSpec(factory=factory, kwargs=kwargs or {}, **sizing)
+
+    return build
 
 
-class TestGenericPath:
-    def test_call_round_trip(self, transport):
-        transport.register(1, "echo", ProcessServiceSpec(factory=Echo, kwargs={"suffix": "!"}))
-        transport.start()
-        assert transport.call(0, 1, "echo", "greet", "hi") == "greet:hi!"
-
-    def test_handler_exception_reraised_in_caller(self, transport):
-        transport.register(1, "echo", ProcessServiceSpec(factory=Echo))
-        transport.start()
-        with pytest.raises(ValueError, match="kapow"):
-            transport.call(0, 1, "echo", "boom", None)
-        # The worker survives its handler's exception.
-        assert transport.call(0, 1, "echo", "m", 1) == "m:1"
-
-    def test_call_async_callback_fires(self, transport):
-        transport.register(1, "echo", ProcessServiceSpec(factory=Echo))
-        transport.start()
-        done = threading.Event()
-        results = []
-        transport.call_async(
-            0, 1, "echo", "m", "x", on_done=lambda r, e: (results.append((r, e)), done.set())
-        )
-        assert done.wait(10.0)
-        assert results == [("m:x", None)]
-
-    def test_thread_and_process_bindings_coexist(self, transport):
-        class Local:
-            def handle(self, method, request):
-                return ("local", request)
-
-        transport.register(1, "echo", ProcessServiceSpec(factory=Echo))
-        transport.register(1, "local", Local())
-        transport.start()
-        assert transport.call(0, 1, "echo", "m", 1) == "m:1"
-        assert transport.call(0, 1, "local", "m", 2) == ("local", 2)
-        assert transport.credit(1, "local") > transport.credit(1, "echo") > 0
-
-    def test_duplicate_registration_rejected(self, transport):
-        transport.register(1, "echo", ProcessServiceSpec(factory=Echo))
-        with pytest.raises(RpcError):
-            transport.register(1, "echo", ProcessServiceSpec(factory=Echo))
-        with pytest.raises(RpcError):
-            transport.register(1, "echo", Echo())
+@pytest.fixture
+def death_sources():
+    return {"process-exit"}
 
 
-class TestReplicateFastPath:
-    def test_frames_cross_unpickled_and_revalidated(self, transport):
-        transport.register(2, "backup", ProcessServiceSpec(factory=FrameCounter))
-        transport.start()
-        request = frame_request([b"alpha", b"beta", b"gamma"])
-        response = transport.call(0, 2, "backup", "replicate", request)
-        assert isinstance(response, ReplicateResponse)
-        assert response.ok
-        assert response.bytes_held == sum(len(f) for f in request.frames)
-
-    def test_corrupt_frame_rejected_by_child(self, transport):
-        transport.register(2, "backup", ProcessServiceSpec(factory=FrameCounter))
-        transport.start()
-        bad = frame_request([b"zap"], corrupt=True)
-        with pytest.raises(ChecksumError):
-            transport.call(0, 2, "backup", "replicate", bad)
-
+class TestReplicateFastPath(contract.TestReplicateFastPath):
     def test_encode_decode_round_trip(self):
         request = frame_request([b"one", b"two"])
         parts = encode_replicate(42, request)
@@ -159,30 +54,34 @@ class TestReplicateFastPath:
         assert [bytes(f) for f in decoded.frames] == [bytes(f) for f in request.frames]
 
 
-class TestShutdownDrain:
-    def test_shutdown_drains_in_flight_async_calls(self):
-        """Every async call enqueued before shutdown resolves exactly
-        once — the close-then-drain ring contract end to end."""
-        transport = ProcessTransport(call_timeout=30.0)
-        transport.register(1, "echo", ProcessServiceSpec(factory=Echo))
-        transport.start()
-        lock = threading.Lock()
-        results = []
-        for i in range(64):
-            transport.call_async(
-                0, 1, "echo", "m", i,
-                on_done=lambda r, e: (lock.acquire(), results.append((r, e)), lock.release()),
-            )
-        transport.shutdown()
-        assert len(results) == 64
-        assert sorted(r for r, e in results) == sorted(f"m:{i}" for i in range(64))
-        assert all(e is None for _, e in results)
-
-    def test_shutdown_idempotent(self):
-        transport = ProcessTransport()
-        transport.register(1, "echo", ProcessServiceSpec(factory=Echo))
-        transport.start()
-        transport.shutdown()
-        transport.shutdown()
+def test_request_larger_than_the_ring_fails_the_send_and_keeps_credit(spec):
+    """A failed send leaves no pending call and no lost ring bytes."""
+    transport = ProcessTransport(call_timeout=20.0, write_timeout=0.2)
+    transport.register(1, "echo", spec(Echo, credit_bytes=8 * KB))
+    transport.start()
+    try:
+        before = transport.credit(1, "echo")
         with pytest.raises(RpcError):
-            transport.call(0, 1, "echo", "m", 1)
+            transport.call(0, 1, "echo", "m", "x" * (16 * KB))
+        assert transport.credit(1, "echo") == before
+        assert transport.call(0, 1, "echo", "m", "ok") == "m:ok"
+    finally:
+        transport.shutdown()
+
+
+def test_reply_larger_than_the_response_ring_fails_the_call_not_the_worker():
+    """A recovery-read-sized reply against a small response ring used to
+    escape the serve loop and take the worker (the node's whole backup)
+    down with it; now only that call fails."""
+    transport = ProcessTransport(call_timeout=20.0)
+    transport.register(
+        1, "echo", ProcessServiceSpec(factory=Echo, response_ring_bytes=8 * KB)
+    )
+    transport.start()
+    try:
+        with pytest.raises(RpcError, match="undeliverable"):
+            transport.call(0, 1, "echo", "m", "x" * (12 * KB))
+        assert transport.call(0, 1, "echo", "m", "ok") == "m:ok"
+        assert transport.connection_count() == 1
+    finally:
+        transport.shutdown()

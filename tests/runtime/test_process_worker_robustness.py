@@ -1,32 +1,20 @@
-"""Worker/reaper robustness: setup leaks, poison records, garbage acks.
+"""Ring-pipe worker setup: no shared-memory attach leaks on any path.
 
-Regression tests for three defects the A007 pool-balance and A008
-boundary rules flagged in :mod:`repro.runtime.process`:
-
-* ``_service_worker`` leaked its request-shm attach when attaching the
-  response block raised, and leaked both when the service factory raised;
-* a poison request record (undecodable pickle) escaped the serve loop
-  before the slot was consumed, wedging the ring for every later caller;
-* ``_reap`` trusted ``_ACK.unpack_from`` on boundary bytes — a short or
-  garbage ack killed the reaper thread and with it every pending call.
+Regression tests for a defect the A007 pool-balance rule flagged in the
+child's setup: it leaked its request-shm attach when attaching the
+response block raised, and leaked both when the service factory raised.
+(The poison-record and garbage-ack cases that used to live here run on
+both pipes in ``worker_transport_contract.TestRobustness``.)
 """
 
-import pickle
-import threading
-import types
+from functools import partial
 from multiprocessing import shared_memory
 
 import pytest
 
 import repro.runtime.process as process_mod
-from repro.runtime.process import (
-    _ACK,
-    KIND_ACK,
-    KIND_PICKLE,
-    ProcessTransport,
-    _service_worker,
-)
-from repro.runtime.threaded import _PendingCall
+from repro.runtime.process import _RingEnd
+from repro.runtime.worker import _worker_main
 from repro.wire.ring import SpscRing
 
 
@@ -57,7 +45,7 @@ def test_worker_closes_request_shm_when_response_attach_fails(
     monkeypatch.setattr(process_mod, "_attach", fake_attach)
     monkeypatch.setattr(process_mod, "_close_shm", close_log.append)
     with pytest.raises(FileNotFoundError):
-        _service_worker(lambda: None, {}, "req", "resp")
+        _worker_main(partial(_RingEnd.attach, (0, "x"), "req", "resp"), lambda: None, {})
     assert close_log == [request_block]
 
 
@@ -72,7 +60,7 @@ def test_worker_closes_both_shms_when_factory_fails(close_log):
 
     try:
         with pytest.raises(RuntimeError):
-            _service_worker(factory, {}, req.name, resp.name)
+            _worker_main(partial(_RingEnd.attach, (0, "x"), req.name, resp.name), factory, {})
         # Both of the worker's attaches were closed, in either order.
         assert len(close_log) == 2
         assert {shm.name for shm in close_log} == {req.name, resp.name}
@@ -81,74 +69,3 @@ def test_worker_closes_both_shms_when_factory_fails(close_log):
         req.unlink()
         resp.close()
         resp.unlink()
-
-
-class _EchoService:
-    def handle(self, method, request):
-        return f"{method}:{request}"
-
-
-def test_poison_request_record_does_not_wedge_the_ring():
-    """A garbage record is consumed and later requests still get served."""
-    req = shared_memory.SharedMemory(create=True, size=16384)
-    resp = shared_memory.SharedMemory(create=True, size=16384)
-    requests = SpscRing(req.buf, reset=True)
-    responses = SpscRing(resp.buf, reset=True)
-    worker = threading.Thread(
-        target=_service_worker,
-        args=(_EchoService, {}, req.name, resp.name),
-        daemon=True,
-    )
-    worker.start()
-    try:
-        assert requests.write(KIND_PICKLE, [b"\x80 not a pickle"], timeout=5.0)
-        valid = pickle.dumps((7, "echo", "hi"))
-        assert requests.write(KIND_PICKLE, [valid], timeout=5.0)
-
-        record = responses.read(timeout=5.0)
-        assert record is not None, "worker died on the poison record"
-        kind, view = record
-        assert kind == KIND_PICKLE
-        assert pickle.loads(view) == (7, "echo:hi", None)
-        del view, record  # release the ring view before the shm closes
-        responses.consume()
-        # No second response: the poison record produced nothing.
-        assert responses.try_read() is None
-    finally:
-        requests.close()
-        worker.join(timeout=5.0)
-        assert not worker.is_alive()
-        del requests, responses
-        req.close()
-        req.unlink()
-        resp.close()
-        resp.unlink()
-
-
-def test_reaper_survives_short_and_garbage_acks():
-    """Undecodable acks are skipped; the next valid ack still resolves."""
-    from repro.kera.messages import ReplicateResponse
-
-    transport = ProcessTransport()
-    ring = SpscRing(bytearray(8192), reset=True)
-    binding = types.SimpleNamespace(responses=ring, dead=False)
-    transport._proc[(0, "backup")] = binding
-    call = _PendingCall("replicate", None)
-    # Pending entries carry the binding so a dead worker can fail the
-    # calls routed through it (_fail_dead_binding).
-    transport._pending[11] = (call, binding)
-
-    assert ring.try_write(KIND_ACK, [b"\x01\x02"])  # too short to unpack
-    assert ring.try_write(KIND_ACK, [b"\xff" * (_ACK.size + 3)])  # oversized
-    assert ring.try_write(KIND_ACK, [_ACK.pack(11, 1, 4096)])
-
-    reaper = threading.Thread(target=transport._reap, daemon=True)
-    reaper.start()
-    try:
-        assert call.done.wait(timeout=5.0), "garbage ack killed the reaper"
-        assert call.error is None
-        assert call.response == ReplicateResponse(ok=True, bytes_held=4096)
-    finally:
-        transport._reaper_stop.set()
-        reaper.join(timeout=5.0)
-        assert not reaper.is_alive()

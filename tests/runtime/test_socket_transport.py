@@ -1,91 +1,42 @@
-"""SocketTransport: framed-TCP RPCs to child processes, drain on shutdown.
+"""WorkerTransport over the framed-TCP pipe.
 
-Mirrors the ProcessTransport suite (same services, same contracts) so the
-two process-boundary transports stay behaviourally interchangeable, and
-adds the socket-only surface: the rendezvous listener, connection
-accounting, and the close-then-drain stream shutdown under load.
+The contract suite (``worker_transport_contract``) bound to
+``SocketServiceSpec``, plus the socket-only surface: the rendezvous
+listener's address.
 """
-
-import threading
 
 import pytest
 
-from repro.common.errors import ChecksumError, RpcError
-from repro.runtime.socket_transport import SocketServiceSpec, SocketTransport
-from repro.kera.messages import ReplicateResponse
+from repro.common.errors import RpcError
+from repro.runtime.socket_transport import SocketServiceSpec
 
-from tests.runtime.test_process_transport import Echo, FrameCounter, frame_request
+from tests.runtime.worker_transport_contract import (  # noqa: F401 - collected here
+    Echo,
+    TestGenericPath,
+    TestReplicateFastPath,
+    TestRobustness,
+    TestShutdownDrain,
+    transport,
+)
 
 
 @pytest.fixture
-def transport():
-    t = SocketTransport(call_timeout=20.0)
-    yield t
-    t.shutdown()
+def spec():
+    def build(factory, kwargs=None, credit_bytes=None):
+        sizing = {} if credit_bytes is None else {"window_bytes": credit_bytes}
+        return SocketServiceSpec(factory=factory, kwargs=kwargs or {}, **sizing)
+
+    return build
 
 
-class TestGenericPath:
-    def test_call_round_trip(self, transport):
-        transport.register(
-            1, "echo", SocketServiceSpec(factory=Echo, kwargs={"suffix": "!"})
-        )
-        transport.start()
-        assert transport.call(0, 1, "echo", "greet", "hi") == "greet:hi!"
-
-    def test_handler_exception_reraised_in_caller(self, transport):
-        transport.register(1, "echo", SocketServiceSpec(factory=Echo))
-        transport.start()
-        with pytest.raises(ValueError, match="kapow"):
-            transport.call(0, 1, "echo", "boom", None)
-        # The worker survives its handler's exception.
-        assert transport.call(0, 1, "echo", "m", 1) == "m:1"
-
-    def test_call_async_callback_fires(self, transport):
-        transport.register(1, "echo", SocketServiceSpec(factory=Echo))
-        transport.start()
-        done = threading.Event()
-        results = []
-        transport.call_async(
-            0, 1, "echo", "m", "x",
-            on_done=lambda r, e: (results.append((r, e)), done.set()),
-        )
-        assert done.wait(10.0)
-        assert results == [("m:x", None)]
-
-    def test_thread_and_socket_bindings_coexist(self, transport):
-        class Local:
-            def handle(self, method, request):
-                return ("local", request)
-
-        transport.register(1, "echo", SocketServiceSpec(factory=Echo))
-        transport.register(1, "local", Local())
-        transport.start()
-        assert transport.call(0, 1, "echo", "m", 1) == "m:1"
-        assert transport.call(0, 1, "local", "m", 2) == ("local", 2)
-        assert transport.credit(1, "local") > transport.credit(1, "echo") > 0
-
-    def test_duplicate_registration_rejected(self, transport):
-        transport.register(1, "echo", SocketServiceSpec(factory=Echo))
-        with pytest.raises(RpcError):
-            transport.register(1, "echo", SocketServiceSpec(factory=Echo))
-        with pytest.raises(RpcError):
-            transport.register(1, "echo", Echo())
-
-    def test_register_after_start_rejected(self, transport):
-        transport.register(1, "echo", SocketServiceSpec(factory=Echo))
-        transport.start()
-        with pytest.raises(RpcError):
-            transport.register(2, "late", SocketServiceSpec(factory=Echo))
-
-    def test_call_before_start_rejected(self, transport):
-        transport.register(1, "echo", SocketServiceSpec(factory=Echo))
-        with pytest.raises(RpcError):
-            transport.call(0, 1, "echo", "m", 1)
+@pytest.fixture
+def death_sources():
+    return {"socket-eof", "socket-error"}
 
 
 class TestListenerSurface:
-    def test_listen_address_requires_started_transport(self, transport):
-        transport.register(1, "echo", SocketServiceSpec(factory=Echo))
+    def test_listen_address_requires_started_transport(self, transport, spec):
+        transport.register(1, "echo", spec(Echo))
         with pytest.raises(RpcError):
             transport.listen_address()
         transport.start()
@@ -93,79 +44,9 @@ class TestListenerSurface:
         assert host == "127.0.0.1"
         assert port > 0
 
-    def test_connection_count_tracks_worker_links(self, transport):
-        transport.register(1, "echo", SocketServiceSpec(factory=Echo))
-        transport.register(2, "echo", SocketServiceSpec(factory=Echo))
+    def test_connection_count_tracks_worker_links(self, transport, spec):
+        transport.register(1, "echo", spec(Echo))
+        transport.register(2, "echo", spec(Echo))
         assert transport.connection_count() == 0
         transport.start()
         assert transport.connection_count() == 2
-
-
-class TestReplicateFastPath:
-    def test_frames_cross_unpickled_and_revalidated(self, transport):
-        transport.register(2, "backup", SocketServiceSpec(factory=FrameCounter))
-        transport.start()
-        request = frame_request([b"alpha", b"beta", b"gamma"])
-        response = transport.call(0, 2, "backup", "replicate", request)
-        assert isinstance(response, ReplicateResponse)
-        assert response.ok
-        assert response.bytes_held == sum(len(f) for f in request.frames)
-
-    def test_corrupt_frame_rejected_by_child(self, transport):
-        # The bytes crossed a kernel socket: frames_verified is cleared in
-        # transit and the child re-earns the CRC before storing.
-        transport.register(2, "backup", SocketServiceSpec(factory=FrameCounter))
-        transport.start()
-        bad = frame_request([b"zap"], corrupt=True)
-        with pytest.raises(ChecksumError):
-            transport.call(0, 2, "backup", "replicate", bad)
-
-
-class TestShutdownDrain:
-    def test_shutdown_drains_in_flight_async_calls(self):
-        """Every async call enqueued before shutdown resolves exactly
-        once — the close-then-drain contract over a TCP stream: the
-        parent half-closes, the child serves out its stream, responses
-        flow back until EOF."""
-        transport = SocketTransport(call_timeout=30.0)
-        transport.register(1, "echo", SocketServiceSpec(factory=Echo))
-        transport.start()
-        lock = threading.Lock()
-        results = []
-
-        def on_done(r, e):
-            with lock:
-                results.append((r, e))
-
-        for i in range(64):
-            transport.call_async(0, 1, "echo", "m", i, on_done=on_done)
-        transport.shutdown()
-        assert len(results) == 64
-        assert sorted(r for r, e in results) == sorted(f"m:{i}" for i in range(64))
-        assert all(e is None for _, e in results)
-
-    def test_shutdown_idempotent_and_closes_connections(self):
-        transport = SocketTransport()
-        transport.register(1, "echo", SocketServiceSpec(factory=Echo))
-        transport.start()
-        transport.shutdown()
-        transport.shutdown()
-        assert transport.connection_count() == 0
-        with pytest.raises(RpcError):
-            transport.call(0, 1, "echo", "m", 1)
-
-    def test_credit_window_released_by_responses(self):
-        transport = SocketTransport(call_timeout=20.0)
-        transport.register(
-            1, "echo", SocketServiceSpec(factory=Echo, window_bytes=1 << 20)
-        )
-        transport.start()
-        try:
-            before = transport.credit(1, "echo")
-            assert before == 1 << 20
-            for i in range(8):
-                transport.call(0, 1, "echo", "m", i)
-            # Synchronous calls: every ack released its credited bytes.
-            assert transport.credit(1, "echo") == before
-        finally:
-            transport.shutdown()

@@ -132,3 +132,85 @@ def test_shared_view_two_ring_objects():
     assert (kind, bytes(view)) == (5, b"cross-process")
     reader.consume()
     assert writer.free_bytes == writer.capacity
+
+
+def _flood(name, seconds):
+    """Writer process for the cross-process stress test below."""
+    import time
+    from multiprocessing import shared_memory
+
+    shm = shared_memory.SharedMemory(name=name)
+    ring = SpscRing(shm.buf)
+    deadline = time.monotonic() + seconds
+    seq = 0
+    while time.monotonic() < deadline:
+        size = (20, 64, 300, 5000)[seq % 4]
+        payload = seq.to_bytes(8, "little") + bytes([seq & 0xFF]) * (size - 8)
+        if not ring.write(2, [payload], timeout=10.0):
+            break
+        seq += 1
+    ring.close()
+    del ring
+    shm.close()
+
+
+def _drain_all(rings):
+    """Round-robin over ``rings`` until each is closed and empty; checks
+    every record and returns how many each ring delivered."""
+    expect = [0] * len(rings)
+    live = set(range(len(rings)))
+    while live:
+        for index in sorted(live):
+            ring = rings[index]
+            record = ring.try_read()
+            if record is None:
+                if ring.closed and ring.try_read() is None:
+                    live.discard(index)
+                continue
+            kind, view = record
+            seq = int.from_bytes(view[:8], "little")
+            assert (kind, seq) == (2, expect[index])
+            assert view[8] == seq & 0xFF and len(view) in (20, 64, 300, 5000)
+            expect[index] += 1
+            del view, record
+            ring.consume()
+            assert ring.pending_bytes >= 0
+    return expect
+
+
+def test_counters_never_read_torn_across_processes():
+    """More writer processes than cores, each flooding its own small
+    ring while this process drains them all: every record arrives whole
+    and in order, and no reader ever runs past its writer.
+
+    Regression: the counters used to be stored with ``struct.pack_into``,
+    which zeroes the destination before writing — a reader on another
+    core could catch ``head == 0``, take unwritten bytes for a record
+    header and launch ``tail`` far past ``head`` (seen as workers that
+    never drained at shutdown, under load).
+    """
+    import multiprocessing
+    from multiprocessing import shared_memory
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("writer processes are forked from this module")
+    ctx = multiprocessing.get_context("fork")
+    blocks = [shared_memory.SharedMemory(create=True, size=64 + 32 * 1024) for _ in range(3)]
+    rings = [SpscRing(block.buf, reset=True) for block in blocks]
+    writers = [ctx.Process(target=_flood, args=(block.name, 1.0), daemon=True) for block in blocks]
+    try:
+        for writer in writers:
+            writer.start()
+        delivered = _drain_all(rings)
+        for writer in writers:
+            writer.join(timeout=10.0)
+            assert not writer.is_alive()
+        assert all(count > 0 for count in delivered)
+    finally:
+        for writer in writers:
+            if writer.is_alive():
+                writer.terminate()
+        rings.clear()
+        for block in blocks:
+            block.close()
+            block.unlink()
