@@ -161,12 +161,22 @@ def collect_sanitizer_functions(modules: ModuleSet) -> set[str]:
     """In-tree functions that re-validate bytes (CRC summaries, A008).
 
     A function counts as a sanitizer when its body computes or checks a
-    CRC (``crc32c``/``crc32c_many``), calls ``verify_payload``/``verify``,
-    decodes with ``verify=True``, or raises ``ChecksumError`` itself.
-    One level deep only — enough for the in-tree helpers
-    (``SegmentFileMeta.unpack``, ``recover_segment_file``, ...).
+    CRC (``crc32c``/``crc32c_many`` or a lane engine directly:
+    ``crc32c_bulk``/``crc32c_lanes``/``crc32c_lanes16``), calls
+    ``verify_payload``/``verify``, decodes with ``verify=True``, or raises
+    ``ChecksumError`` itself. One level deep only — enough for the
+    in-tree helpers (``SegmentFileMeta.unpack``, ``recover_segment_file``,
+    the batch validators ``uniform_frame_checksums``/``verify_chunks``, ...).
     """
-    sanitizing_calls = {"crc32c", "crc32c_many", "crc32c_lanes", "verify_payload", "verify"}
+    sanitizing_calls = {
+        "crc32c",
+        "crc32c_many",
+        "crc32c_bulk",
+        "crc32c_lanes",
+        "crc32c_lanes16",
+        "verify_payload",
+        "verify",
+    }
     names: set[str] = set()
     for module in modules:
         for node in ast.walk(module.tree):

@@ -74,7 +74,8 @@ def _make_word_tables() -> np.ndarray:
 _WTABLES = _make_word_tables()
 #: Little-endian uint16, the lane engine's word dtype: ``w = b0 | b1 << 8``
 #: regardless of host endianness, matching the :data:`_WTABLES` layout.
-_U16LE = np.dtype("<u2")
+#: Callers of :func:`crc32c_lanes16` view their byte matrices through it.
+U16LE = np.dtype("<u2")
 
 
 #: Input size from which :func:`crc32c_update` switches to the numpy
@@ -462,7 +463,7 @@ def _crc32c_group(views: list[memoryview], length: int) -> np.ndarray:
     m = (
         arr[:, :body]
         .reshape(k * lanes, _LANE_BYTES)
-        .view(_U16LE)
+        .view(U16LE)
         .T.astype(np.intp)
     )
     crcs = crc32c_lanes16(m).reshape(k, lanes)
@@ -586,6 +587,26 @@ def crc32c_concat(crcs: np.ndarray, block_size: int) -> int:
     return int(np.bitwise_xor.reduce(acc)) & 0xFFFFFFFF
 
 
+def crc32c_concat_rows(crcs: np.ndarray, block_size: int) -> np.ndarray:
+    """:func:`crc32c_concat` of every row of a ``(k, n)`` CRC matrix.
+
+    Row ``r`` holds the per-block CRCs of one message of ``n`` blocks;
+    the ``(k,)`` result holds the ``k`` message CRCs. Same positional
+    operators as the 1-D form, broadcast over the rows the way
+    :func:`_crc32c_group` stitches lanes — this is how a consumer checks
+    every chunk payload CRC of a fetch response from the record CRCs it
+    just computed, instead of reading the payloads a second time.
+    """
+    flat, base = _concat_tables(block_size, crcs.shape[1])
+    acc = (
+        flat[0][base + (crcs & 0xFF)]
+        ^ flat[1][base + ((crcs >> 8) & 0xFF)]
+        ^ flat[2][base + ((crcs >> 16) & 0xFF)]
+        ^ flat[3][base + (crcs >> 24)]
+    )
+    return np.bitwise_xor.reduce(acc, axis=1)
+
+
 #: Largest input the bulk engine stitches with cached positional tables
 #: (one gather set + XOR-reduce) instead of the logarithmic pairwise
 #: fold. The fold costs ~8 vectorized rounds of fixed numpy dispatch
@@ -612,7 +633,7 @@ def crc32c_bulk(data: bytes | bytearray | memoryview) -> int:
     # (lanes, L/2) words -> contiguous (L/2, lanes): column k is block
     # k's little-endian 16-bit words; the .astype copy materializes the
     # transpose and widens to intp in one pass.
-    m = arr.reshape(lanes, _LANE_BYTES).view(_U16LE).T.astype(np.intp)
+    m = arr.reshape(lanes, _LANE_BYTES).view(U16LE).T.astype(np.intp)
     crcs = crc32c_lanes16(m)
     if n <= _POSITION_STITCH_MAX and (
         n in _POSITION_TABLES or len(_POSITION_TABLES) < _POSITION_TABLES_MAX

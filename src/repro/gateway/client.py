@@ -196,7 +196,13 @@ class AsyncGatewayClient:
         consumer_id: int,
         max_chunks_per_entry: int = 16,
     ) -> list[tuple[FetchPosition, FetchPosition, list[Chunk]]]:
-        """One fetch round; ``(position, next_position, chunks)`` per entry."""
+        """One fetch round; ``(position, next_position, chunks)`` per entry.
+
+        This is the client's address-space boundary: the chunks come back
+        validated (payload CRCs, and record checksums where one lane pass
+        could cover them — see :func:`protocol.decode_fetch_ok`), or the
+        call raises and delivers none of them.
+        """
         request_id = next(self._ids)
         payload = await self._request(
             protocol.GW_FETCH,
@@ -683,6 +689,8 @@ class AsyncConsumer:
         return out
 
     async def poll(self, max_chunks_per_entry: int = 16) -> list[Record]:
+        """One fetch round, decoded. ``Chunk.records()`` verifies whatever
+        the fetch boundary's batch pass did not already (``records_verified``)."""
         records: list[Record] = []
         for chunk in await self.poll_chunks(max_chunks_per_entry):
             records.extend(chunk.records())

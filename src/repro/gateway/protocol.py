@@ -14,9 +14,16 @@ response kind without knowing its shape.
 Chunk bytes cross this boundary *verbatim*: produce payloads embed the
 producer-built chunk frames (header + payload, CRC stamped at build
 time), fetch responses embed the broker's frame views. Each side
-re-validates CRCs on receipt (``decode_chunk(verify=True)``) because the
-bytes crossed an address space — the same discipline as the replication
-plane's ``frames_verified=False``.
+re-validates CRCs on receipt because the bytes crossed an address space
+— the same discipline as the replication plane's
+``frames_verified=False`` — and does it once per message, not per chunk:
+the server batch-verifies a merge window in its coalescer, the client a
+whole fetch response in :func:`decode_fetch_ok`.
+
+Responses are decoded by clients of a server they may not trust either:
+a short or garbage response raises a typed :class:`GatewayError` (or the
+wire layer's ``WireFormatError`` / ``ChecksumError``), never a bare
+``struct.error``.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ import struct
 from collections.abc import Sequence
 
 from repro.common.errors import NotLeaderError, RetriableRpcError, RpcError
-from repro.wire.chunk import Chunk, decode_chunk
+from repro.wire.chunk import Chunk, decode_chunk, verify_chunks
 from repro.wire.netframe import BufferPart
 from repro.kera.messages import ChunkAssignment, FetchPosition
 
@@ -126,24 +133,27 @@ def encode_produce_ok(
 
 
 def decode_produce_ok(payload: bytes | memoryview) -> tuple[int, list[ChunkAssignment]]:
-    request_id, count = _PRODUCE_OK_HEAD.unpack_from(payload, 0)
-    offset = _PRODUCE_OK_HEAD.size
-    assignments: list[ChunkAssignment] = []
-    for _ in range(count):
-        stream, streamlet, group, segment, off, dup = _ASSIGNMENT.unpack_from(
-            payload, offset
-        )
-        offset += _ASSIGNMENT.size
-        assignments.append(
-            ChunkAssignment(
-                stream_id=stream,
-                streamlet_id=streamlet,
-                group_id=group,
-                segment_id=segment,
-                offset=off,
-                duplicate=bool(dup),
+    try:
+        request_id, count = _PRODUCE_OK_HEAD.unpack_from(payload, 0)
+        offset = _PRODUCE_OK_HEAD.size
+        assignments: list[ChunkAssignment] = []
+        for _ in range(count):
+            stream, streamlet, group, segment, off, dup = _ASSIGNMENT.unpack_from(
+                payload, offset
             )
-        )
+            offset += _ASSIGNMENT.size
+            assignments.append(
+                ChunkAssignment(
+                    stream_id=stream,
+                    streamlet_id=streamlet,
+                    group_id=group,
+                    segment_id=segment,
+                    offset=off,
+                    duplicate=bool(dup),
+                )
+            )
+    except struct.error as exc:
+        raise GatewayError(f"truncated GW_PRODUCE_OK payload: {exc}") from None
     return request_id, assignments
 
 
@@ -223,30 +233,45 @@ def encode_fetch_ok(
 def decode_fetch_ok(
     payload: bytes | memoryview,
 ) -> tuple[int, list[tuple[FetchPosition, FetchPosition, list[Chunk]]]]:
-    """Client side: decode + re-validate the fetched chunk frames."""
-    request_id, nentries = _FETCH_OK_HEAD.unpack_from(payload, 0)
-    offset = _FETCH_OK_HEAD.size
-    entries: list[tuple[FetchPosition, FetchPosition, list[Chunk]]] = []
-    for _ in range(nentries):
-        position = _unpack_position(payload, offset)
-        offset += _POSITION.size
-        next_position = _unpack_position(payload, offset)
-        offset += _POSITION.size
-        (nchunks,) = _ENTRY_HEAD.unpack_from(payload, offset)
-        offset += _ENTRY_HEAD.size
-        chunks: list[Chunk] = []
-        for _ in range(nchunks):
-            (length,) = _U32.unpack_from(payload, offset)
-            offset += _U32.size
-            chunk, end = decode_chunk(payload, offset, verify=True)
-            if end != offset + length:
-                raise GatewayError(
-                    f"chunk frame length mismatch: declared {length}, "
-                    f"decoded {end - offset}"
-                )
-            chunks.append(chunk)
-            offset = end
-        entries.append((position, next_position, chunks))
+    """Client side: decode + re-validate the fetched chunk frames.
+
+    The frames decode structurally first; then the whole response is
+    validated in one :func:`~repro.wire.chunk.verify_chunks` pass before
+    anything is returned, so each byte is read by a CRC engine once for
+    the response instead of once per chunk and again per record.
+    """
+    try:
+        request_id, nentries = _FETCH_OK_HEAD.unpack_from(payload, 0)
+        offset = _FETCH_OK_HEAD.size
+        entries: list[tuple[FetchPosition, FetchPosition, list[Chunk]]] = []
+        fetched: list[Chunk] = []
+        offsets: list[int] = []
+        for _ in range(nentries):
+            position = _unpack_position(payload, offset)
+            offset += _POSITION.size
+            next_position = _unpack_position(payload, offset)
+            offset += _POSITION.size
+            (nchunks,) = _ENTRY_HEAD.unpack_from(payload, offset)
+            offset += _ENTRY_HEAD.size
+            chunks: list[Chunk] = []
+            for _ in range(nchunks):
+                (length,) = _U32.unpack_from(payload, offset)
+                offset += _U32.size
+                chunk, end = decode_chunk(payload, offset, verify=False)
+                if end != offset + length:
+                    raise GatewayError(
+                        f"chunk frame length mismatch: declared {length}, "
+                        f"decoded {end - offset}"
+                    )
+                chunks.append(chunk)
+                offsets.append(offset)
+                offset = end
+            fetched.extend(chunks)
+            entries.append((position, next_position, chunks))
+    except struct.error as exc:
+        raise GatewayError(f"truncated GW_FETCH_OK payload: {exc}") from None
+    if fetched:
+        verify_chunks(fetched, offsets)
     return request_id, entries
 
 
@@ -291,12 +316,15 @@ def encode_meta_ok(
 
 
 def decode_meta_ok(payload: bytes | memoryview) -> tuple[int, int, int, list[int]]:
-    request_id, q_active, chunk_size, count = _META_OK_HEAD.unpack_from(payload, 0)
-    offset = _META_OK_HEAD.size
-    streamlets: list[int] = []
-    for _ in range(count):
-        streamlets.append(_I64.unpack_from(payload, offset)[0])
-        offset += _I64.size
+    try:
+        request_id, q_active, chunk_size, count = _META_OK_HEAD.unpack_from(payload, 0)
+        offset = _META_OK_HEAD.size
+        streamlets: list[int] = []
+        for _ in range(count):
+            streamlets.append(_I64.unpack_from(payload, offset)[0])
+            offset += _I64.size
+    except struct.error as exc:
+        raise GatewayError(f"truncated GW_META_OK payload: {exc}") from None
     return request_id, q_active, chunk_size, streamlets
 
 

@@ -26,12 +26,22 @@ Header layout (little-endian, 40 bytes)::
 from __future__ import annotations
 
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.common.checksum import crc32c, crc32c_append
+import numpy as np
+
+from repro.common.checksum import crc32c, crc32c_append, crc32c_concat_rows, crc32c_many
 from repro.common.errors import WireFormatError, ChecksumError
-from repro.wire.record import Record, encode_record, decode_records
+from repro.wire.record import (
+    Record,
+    encode_record,
+    decode_records,
+    uniform_frame_checksums,
+    uniform_frame_crcs,
+    uniform_keyless_frames,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.wire.pool import BufferPool
@@ -97,6 +107,12 @@ class Chunk:  # noqa: A004 -- mutable by design: the broker assigns group/segmen
     #: keeps the bit, while any transport that copies bytes between address
     #: spaces re-decodes and re-earns it on the receiving side.
     verified: bool = field(default=False, repr=False, compare=False)
+    #: Whether every record's header checksum is known to match its bytes,
+    #: with :attr:`verified`'s meaning: earned over these very bytes in
+    #: this address space. Only :func:`verify_chunks` sets it — there the
+    #: pass that checks the payload CRC computes every record checksum
+    #: anyway — and it lets :meth:`records` skip reading the bytes again.
+    records_verified: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.payload is not None:
@@ -142,7 +158,7 @@ class Chunk:  # noqa: A004 -- mutable by design: the broker assigns group/segmen
         """Decode the chunk's records (requires a payload)."""
         if self.payload is None:
             raise WireFormatError("metadata-only chunk has no records to decode")
-        return decode_records(self.payload, verify=verify)
+        return decode_records(self.payload, verify=verify and not self.records_verified)
 
     def dedup_key(self) -> tuple[int, int, int]:
         """Identity used for exactly-once de-duplication at the broker."""
@@ -171,6 +187,7 @@ class Chunk:  # noqa: A004 -- mutable by design: the broker assigns group/segmen
         same_placement = group_id == self.group_id and segment_id == self.segment_id
         clone.wire = self.wire if same_placement else None
         clone.verified = self.verified
+        clone.records_verified = self.records_verified
         return clone
 
     def encoded_frame(self) -> bytes:
@@ -278,6 +295,67 @@ def decode_chunk(
         verified=payload is not None and verify,
     )
     return chunk, end
+
+
+def verify_chunks(chunks: Sequence[Chunk], offsets: Sequence[int]) -> None:
+    """Validate chunks decoded with ``verify=False``, all in one pass.
+
+    The batch form of ``decode_chunk(verify=True)`` for a boundary that
+    receives many chunks at once (a fetch response): ``offsets[i]`` is
+    where ``chunks[i]`` was decoded from and names it in the
+    :class:`ChecksumError` a payload CRC mismatch raises — the error
+    ``decode_chunk`` would have raised there. Nothing is marked unless
+    every chunk passes.
+
+    Chunks of uniform keyless records are stacked by shape and read by
+    one lane pass each: it yields every record's header checksum, which
+    is compared with the stored one (``record at offset N`` of the chunk
+    payload on mismatch, as :func:`decode_records` reports it), and the
+    payload CRCs are stitched from those record CRCs rather than read a
+    second time; such chunks also earn :attr:`Chunk.records_verified`.
+    Every other chunk is checked by one :func:`crc32c_many` pass and
+    keeps its per-record verification in :meth:`Chunk.records`.
+    """
+    uniform: dict[tuple[int, int], list[int]] = {}
+    plain: list[int] = []
+    for i, chunk in enumerate(chunks):
+        if chunk.payload is None or chunk.verified:
+            continue
+        frames = uniform_keyless_frames(chunk.payload)
+        if frames is None:
+            plain.append(i)
+        else:
+            uniform.setdefault(frames.shape, []).append(i)
+    actual: dict[int, int] = {}
+    if plain:
+        actual.update(zip(plain, crc32c_many([chunks[i].payload for i in plain])))
+    #: (chunk index, payload offset, stored, computed) of each group's first
+    bad_records: list[tuple[int, int, int, int]] = []
+    for (count, size), idxs in uniform.items():
+        blob = b"".join([chunks[i].payload for i in idxs])
+        frames = np.frombuffer(blob, dtype=np.uint8).reshape(len(idxs), count, size)
+        stored, computed = uniform_frame_checksums(frames)
+        payload_crcs = crc32c_concat_rows(uniform_frame_crcs(stored, computed, size), size)
+        actual.update(zip(idxs, payload_crcs.tolist()))
+        rows, cols = np.nonzero(stored != computed)
+        if len(rows):
+            row, col = int(rows[0]), int(cols[0])
+            bad_records.append(
+                (idxs[row], col * size, int(stored[row, col]), int(computed[row, col]))
+            )
+    for i in sorted(actual):
+        if actual[i] != chunks[i].payload_crc:
+            raise ChecksumError(
+                chunks[i].payload_crc, actual[i], f"chunk at offset {offsets[i]}"
+            )
+    if bad_records:
+        _, offset, expected, got = min(bad_records)
+        raise ChecksumError(expected, got, f"record at offset {offset}")
+    for i in actual:
+        chunks[i].verified = True
+    for idxs in uniform.values():
+        for i in idxs:
+            chunks[i].records_verified = True
 
 
 class ChunkBuilder:

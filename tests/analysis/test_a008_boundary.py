@@ -113,3 +113,40 @@ def test_view_construction_carries_taint(analyze):
         rules=["A008"],
     )
     assert len(findings) == 1
+
+
+def _fetched_findings():
+    return [f for f in findings_for("A008") if f.path.endswith("fetched.py")]
+
+
+def test_deferred_validation_that_never_runs_fires():
+    # Structural decode of fetched bytes, then .records() with no batch
+    # validation in between: the consume path's one forbidden shape. Its
+    # twin that calls the lane-engine validator first stays clean.
+    (finding,) = _fetched_findings()
+    assert ".records()" in finding.message and "ring read" in finding.message
+
+
+def test_lane_engine_batch_validator_clears_taint(analyze):
+    # The batch validators call crc32c_lanes16 / crc32c_bulk directly —
+    # the engines behind crc32c since the word tables landed.
+    for engine in ("crc32c_lanes16", "crc32c_bulk"):
+        findings = analyze(
+            {
+                "mod.py": f"""
+                class FetchedView:
+                    def records(self):
+                        return []
+
+                def validate(view):
+                    return {engine}(view.raw)
+
+                def serve(path):
+                    view = FetchedView(path.read_bytes())
+                    validate(view)
+                    return view.records()
+                """
+            },
+            rules=["A008"],
+        )
+        assert findings == [], engine

@@ -12,6 +12,7 @@ from repro.wire.chunk import (
     SEGMENT_UNASSIGNED,
     encode_chunk,
     decode_chunk,
+    verify_chunks,
 )
 from repro.wire.framing import encode_chunks, decode_chunks
 from repro.wire.record import Record, encode_records
@@ -110,6 +111,45 @@ def test_assignment_attributes():
     assert (decoded.group_id, decoded.segment_id) == (5, 17)
     # Original untouched.
     assert chunk.group_id == GROUP_UNASSIGNED
+
+
+def decoded_unverified(chunks):
+    """``chunks`` as a boundary first sees them: structure only."""
+    buf = b"".join(encode_chunk(c) for c in chunks)
+    decoded, offsets, offset = [], [], 0
+    for _ in chunks:
+        offsets.append(offset)
+        chunk, offset = decode_chunk(buf, offset, verify=False)
+        decoded.append(chunk)
+    return decoded, offsets
+
+
+def test_verify_chunks_marks_nothing_unless_every_chunk_passes():
+    uniform = [Record(value=bytes([i]) * 20) for i in range(10)]
+    sent = [make_chunk(uniform), make_chunk(), make_chunk(uniform, chunk_seq=5)]
+    decoded, offsets = decoded_unverified(sent)
+    assert not any(c.verified or c.records_verified for c in decoded)
+    corrupt = bytearray(decoded[2].payload)
+    corrupt[-1] ^= 1
+    decoded[2].payload = bytes(corrupt)
+    with pytest.raises(ChecksumError, match=f"chunk at offset {offsets[2]}"):
+        verify_chunks(decoded, offsets)
+    assert not any(c.verified or c.records_verified for c in decoded)
+    decoded[2].payload = sent[2].payload
+    verify_chunks(decoded, offsets)
+    assert [c.verified for c in decoded] == [True, True, True]
+    assert [c.records_verified for c in decoded] == [True, False, True]
+    assert [c.records() for c in decoded] == [c.records() for c in sent]
+
+
+def test_verify_chunks_leaves_verified_and_meta_chunks_alone():
+    meta = Chunk.meta(
+        stream_id=1, streamlet_id=2, producer_id=3, chunk_seq=9, record_count=4, payload_len=64
+    )
+    built = make_chunk([Record(value=b"x" * 20)] * 10)  # verified by construction
+    verify_chunks([meta, built], [0, 0])
+    assert not meta.verified and not meta.records_verified
+    assert built.verified and not built.records_verified
 
 
 def test_dedup_key():

@@ -48,6 +48,24 @@ def test_record_golden_bytes(record, expected_hex):
     assert decode_records(encoded) == [record]
 
 
+def test_golden_record_decodes_through_the_vectorized_path(monkeypatch):
+    # Nine copies of the committed keyless record are a uniform batch:
+    # the lane-parallel decoder must read the very bytes pinned above.
+    from repro.wire import record as record_module
+
+    passes = []
+    real = record_module.crc32c_lanes
+
+    def counting(m):
+        passes.append(m.shape)
+        return real(m)
+
+    monkeypatch.setattr(record_module, "crc32c_lanes", counting)
+    golden, golden_hex = RECORD_GOLDEN[0]
+    assert decode_records(bytes.fromhex(golden_hex * 9)) == [golden] * 9
+    assert passes == [(11, 9)]  # 6 header + 5 value bytes covered, 9 lanes
+
+
 # -- chunk golden bytes -----------------------------------------------------
 
 
