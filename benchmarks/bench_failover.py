@@ -112,7 +112,7 @@ def run_suite(*, quick: bool, driver: str) -> dict:
             "value": result.recovery_ms,
             "unit": "ms",
             "detail": f"{driver} driver, kill={result.kill_mode}, "
-            f"{report.chunks_replayed} chunks replayed",
+            f"{report.chunks_recovered} chunks replayed",
         },
         "failover_throughput_dip": {
             "value": result.throughput_dip,

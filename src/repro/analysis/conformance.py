@@ -23,6 +23,11 @@ here:
   ``run_cluster.py``, the gateway drivers and chaos tooling reach
   through — and the ``LiveKeraCluster`` produce and ``backup_*``
   operator surface;
+* the one live broker service (``BrokerService``: ``handle`` plus the
+  node and streamlet fences) and the streamlet-move entry points —
+  module-level functions, pinned by name in ``FUNCTIONS``:
+  ``move_streamlets``/``replay_runs`` (the machine and its one replay
+  loop) and its callers ``recover_broker`` and ``migrate_streamlet``;
 * every override of a protocol method keeps the protocol's signature:
   same positional parameter names in order, defaults preserved, required
   keyword-only parameters present (extras allowed only with defaults).
@@ -37,8 +42,9 @@ from __future__ import annotations
 import ast
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
+from functools import partial
 
-from repro.analysis.core import Finding, ModuleSet
+from repro.analysis.core import Finding, ModuleSet, SourceModule
 
 RULE_ID = "A003"
 
@@ -162,6 +168,31 @@ PROTOCOLS: dict[str, dict[str, MethodSpec]] = {
     "LiveService": {
         "handle": MethodSpec(("method", "request"), required=True),
     },
+    # The one broker service every live driver binds to (node, "broker"):
+    # the transport reaches it through `handle`, the cluster's fences
+    # (node-wide for a death, one streamlet for a voluntary move) through
+    # the rest.
+    "BrokerService": {
+        "handle": MethodSpec(("method", "request")),
+        "fence": MethodSpec(()),
+        "fence_streamlet": MethodSpec(("stream_id", "streamlet_id")),
+        "unfence_streamlet": MethodSpec(("stream_id", "streamlet_id")),
+    },
+}
+
+# Module-level entry points pinned by name (``MethodSpec.positional`` is
+# the whole positional list — there is no ``self``).
+FUNCTIONS: dict[str, MethodSpec] = {
+    "move_streamlets": MethodSpec(
+        ("cluster", "plan", "source"), kwonly=("replay_timeout", "lanes")
+    ),
+    "replay_runs": MethodSpec(("cluster", "lane", "runs")),
+    "recover_broker": MethodSpec(
+        ("cluster", "failed_broker"), kwonly=("replay_timeout", "report")
+    ),
+    "migrate_streamlet": MethodSpec(
+        ("cluster", "stream_id", "streamlet_id", "target")
+    ),
 }
 
 
@@ -181,11 +212,15 @@ def _base_names(cls: ast.ClassDef) -> list[str]:
     return names
 
 
-def _signature_problems(spec: MethodSpec, fn: ast.FunctionDef) -> list[str]:
+def _signature_problems(
+    spec: MethodSpec, fn: ast.FunctionDef, *, bound: bool = True
+) -> list[str]:
     args = fn.args
     problems: list[str] = []
     names = [a.arg for a in args.posonlyargs + args.args]
-    if not names or names[0] not in ("self", "cls"):
+    if not bound:
+        positional = tuple(names)
+    elif not names or names[0] not in ("self", "cls"):
         problems.append("first parameter must be `self`")
         positional = tuple(names)
     else:
@@ -214,6 +249,18 @@ def _signature_problems(spec: MethodSpec, fn: ast.FunctionDef) -> list[str]:
                     f"extra keyword-only parameter `{name}` must have a default"
                 )
     return problems
+
+
+def _finding(
+    module: SourceModule, node: ast.ClassDef | ast.FunctionDef, message: str
+) -> Finding:
+    return Finding(
+        path=str(module.path),
+        line=node.lineno,
+        col=node.col_offset,
+        rule=RULE_ID,
+        message=message,
+    )
 
 
 def check(modules: ModuleSet) -> Iterator[Finding]:
@@ -250,6 +297,19 @@ def check(modules: ModuleSet) -> Iterator[Finding]:
         return names
 
     for module in modules:
+        finding = partial(_finding, module)
+        for fn in module.tree.body:
+            if isinstance(fn, ast.FunctionDef) and fn.name in FUNCTIONS:
+                for problem in _signature_problems(
+                    FUNCTIONS[fn.name], fn, bound=False
+                ):
+                    yield finding(
+                        fn,
+                        f"entry point {fn.name} drifted from the "
+                        f"conformance spec ({problem}); update "
+                        f"repro.analysis.conformance.FUNCTIONS and "
+                        f"every caller together",
+                    )
         for cls in [
             n for n in ast.walk(module.tree) if isinstance(n, ast.ClassDef)
         ]:
@@ -265,17 +325,12 @@ def check(modules: ModuleSet) -> Iterator[Finding]:
                         else _signature_problems(spec, fn)
                     )
                     for problem in problems:
-                        yield Finding(
-                            path=str(module.path),
-                            line=(fn or cls).lineno,
-                            col=(fn or cls).col_offset,
-                            rule=RULE_ID,
-                            message=(
-                                f"protocol {cls.name}.{name} drifted from the "
-                                f"conformance spec ({problem}); update "
-                                f"repro.analysis.conformance.PROTOCOLS and "
-                                f"every implementation together"
-                            ),
+                        yield finding(
+                            fn or cls,
+                            f"protocol {cls.name}.{name} drifted from the "
+                            f"conformance spec ({problem}); update "
+                            f"repro.analysis.conformance.PROTOCOLS and "
+                            f"every implementation together",
                         )
                 continue
             protocol = protocol_of(cls, set())
@@ -288,26 +343,16 @@ def check(modules: ModuleSet) -> Iterator[Finding]:
                 fn = defined.get(name)
                 if fn is None:
                     if spec.required and name not in inherited:
-                        yield Finding(
-                            path=str(module.path),
-                            line=cls.lineno,
-                            col=cls.col_offset,
-                            rule=RULE_ID,
-                            message=(
-                                f"{cls.name} registered as a {protocol} but "
-                                f"does not implement required method "
-                                f"`{name}`"
-                            ),
+                        yield finding(
+                            cls,
+                            f"{cls.name} registered as a {protocol} but "
+                            f"does not implement required method "
+                            f"`{name}`",
                         )
                     continue
                 for problem in _signature_problems(spec, fn):
-                    yield Finding(
-                        path=str(module.path),
-                        line=fn.lineno,
-                        col=fn.col_offset,
-                        rule=RULE_ID,
-                        message=(
-                            f"{cls.name}.{name} does not conform to "
-                            f"{protocol}.{name}: {problem}"
-                        ),
+                    yield finding(
+                        fn,
+                        f"{cls.name}.{name} does not conform to "
+                        f"{protocol}.{name}: {problem}",
                     )

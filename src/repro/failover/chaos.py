@@ -26,6 +26,7 @@ import os
 import signal
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.common.errors import NotLeaderError, ReplicationError, RpcError
@@ -187,6 +188,20 @@ def _fetch_all_values(
     return values
 
 
+def read_back(
+    cluster: LiveKeraCluster, stream_id: int, num_streamlets: int
+) -> list[tuple[int, int]]:
+    """Every producer record durable in the stream as ``(producer,
+    seq)``, in log order within each sub-partition."""
+    pairs = []
+    for value in _fetch_all_values(cluster, stream_id, num_streamlets):
+        text = value.decode()
+        if text.startswith("p"):
+            pid_s, _, seq_s = text[1:].partition("-")
+            pairs.append((int(pid_s), int(seq_s)))
+    return pairs
+
+
 def run_chaos(
     cluster: LiveKeraCluster,
     plane: FailoverPlane,
@@ -260,19 +275,8 @@ def run_chaos(
         result.throughput_during = during / report.recovery_seconds
 
     # The audit: every acked record must be in the log, exactly once.
-    seen: dict[tuple[int, int], int] = {}
-    for value in _fetch_all_values(cluster, stream_id, num_streamlets):
-        text = value.decode()
-        if not text.startswith("p"):
-            continue
-        pid_s, _, seq_s = text[1:].partition("-")
-        key = (int(pid_s), int(seq_s))
-        seen[key] = seen.get(key, 0) + 1
-    for key in sorted(acked):
-        count = seen.get(key, 0)
-        if count == 0:
-            result.lost.append(key)
-        elif count > 1:
-            result.duplicated.append(key)
+    seen = Counter(read_back(cluster, stream_id, num_streamlets))
+    result.lost = [key for key in sorted(acked) if seen[key] == 0]
+    result.duplicated = [key for key in sorted(acked) if seen[key] > 1]
     result.verified = result.acked - len(result.lost)
     return result

@@ -1,94 +1,43 @@
-"""The live failover coordinator: fence, re-plan, parallel fast recovery.
+"""The live failover coordinator: a detector that triggers recovery.
 
 On a :class:`~repro.failover.detector.BrokerDown` verdict the plane runs
-the recovery state machine::
-
-    DETECTED -> FENCED -> REPLAYING -> REROUTED -> DONE
-
-1. **Fence** the dead node (:meth:`LiveKeraCluster.fence_node`): its
-   broker service starts refusing requests with a typed
-   ``NotLeaderError``, its shipper halts, and its in-flight produces
-   fail over instead of hanging.
-2. **Plan** with ``plan_recovery(..., defer_routing=True)``: the
-   catalog keeps pointing at the fenced broker until replay finishes —
-   re-routing retries early would let a retried ``chunk_seq`` land
-   ahead of the replayed acked prefix and be deduplicated *against* it
-   (acked-record loss).
-3. **Repair** the survivors' copy counts (each survivor's shipper swaps
-   the dead backup out of its virtual segments and re-ships durable
-   prefixes — ordered, because it all flows through one shipper thread).
-4. **Read lanes, in parallel**: one lane per (new leader, surviving
-   backup) pair pulls the backup's virtual segments for the dead broker
-   and keeps the chunks the lane's leader will own — RAMCloud's
-   partitioned recovery read. Lanes are timed; overlapping lanes are the
-   measured recovery parallelism.
-5. **Replay lanes, in parallel per leader**: each new leader merges its
-   lanes' copies (longest-prefix-wins, repair echoes collapsed) and
-   replays them through the *ordinary* produce path — exactly-once
-   dedup and per-(streamlet, entry) ordering hold by construction.
-6. **Commit**: ``commit_recovery`` flips the catalog; clients refresh
-   routing and retries land on the new leaders. The dead broker's
-   backup data is dropped from the survivors.
+:func:`repro.kera.recovery.recover_broker` — the same streamlet-move
+machine operator-driven recovery and migration use (fence → gather →
+ensure → replay → commit → release), with its parallel timed read lanes
+(one per new leader × surviving backup) and replay lanes (one per new
+leader) recorded in :attr:`FailoverReport.lanes`; overlapping lanes are
+the measured recovery parallelism. What the plane adds is *when*: it
+owns the detector, and it claims a node at a survivor's first failed
+replicate RPC (:meth:`FailoverPlane.note_node_failure`) — fencing it so
+its in-flight produces fail over with a typed ``NotLeaderError`` instead
+of hanging — before any verdict exists.
 
 Every failure on this path lands in :attr:`FailoverReport.error` as a
 typed exception (``ReplicationError`` for a cluster too small to keep
-the copy count, ``RecoveryError`` for merge divergence) — recovery is
-refused loudly, never silently lossy.
+the copy count, ``RecoveryError`` for merge divergence or a replay lane
+that outlived ``replay_timeout``) and leaves routing uncommitted —
+recovery is refused loudly, never silently lossy.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.common.errors import ReplicationError
-from repro.kera.coordinator import RecoveryPlan
-from repro.kera.live import CLIENT_NODE, LiveKeraCluster
-from repro.kera.messages import ProduceRequest
-from repro.kera.recovery import merge_backup_copies
+from repro.kera.live import LiveKeraCluster
+from repro.kera.recovery import RecoveryLane, RecoveryReport, recover_broker
 from repro.failover.detector import BrokerDown, FailureDetector
-from repro.wire.chunk import Chunk
 
 
 @dataclass
-class RecoveryLane:
-    """One timed unit of parallel recovery work."""
-
-    leader: int
-    backup: int
-    #: ``"read"`` (pull one backup's copies) or ``"replay"`` (produce a
-    #: leader's merged chunks); replay lanes have ``backup == -1``.
-    phase: str
-    started: float = 0.0
-    finished: float = 0.0
-    vsegs: int = 0
-    chunks: int = 0
-
-    @property
-    def duration(self) -> float:
-        return max(self.finished - self.started, 0.0)
-
-
-@dataclass
-class FailoverReport:
+class FailoverReport(RecoveryReport):
     """What one node's live recovery did, with timing evidence."""
 
-    verdict: BrokerDown
+    verdict: BrokerDown | None = None
     recovery_seconds: float = 0.0
-    #: (stream, streamlet) -> new leader, as committed.
-    reassignments: dict[tuple[int, int], int] = field(default_factory=dict)
-    vsegs_merged: int = 0
-    chunks_replayed: int = 0
-    records_replayed: int = 0
-    duplicates_dropped: int = 0
-    lanes: list[RecoveryLane] = field(default_factory=list)
     #: Typed refusal / failure; None on success.
     error: BaseException | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.error is None
 
     @property
     def parallelism(self) -> int:
@@ -189,176 +138,16 @@ class FailoverPlane:
             self._done.notify_all()
 
     def _recover(self, verdict: BrokerDown) -> FailoverReport:
-        cluster = self.cluster
-        report = FailoverReport(verdict=verdict)
+        report = FailoverReport(failed_broker=verdict.node_id, verdict=verdict)
         started = time.monotonic()
         try:
-            # DETECTED -> FENCED
-            cluster.fence_node(verdict.node_id)
-            copies = cluster.config.replication.num_backup_copies
-            survivors = cluster.live_broker_ids
-            if copies and len(survivors) - 1 < copies:
-                # Typed refusal: recovering would silently under-replicate.
-                raise ReplicationError(
-                    f"cluster too small after losing node {verdict.node_id}: "
-                    f"need {copies} backups per broker, "
-                    f"have {len(survivors) - 1} candidates"
-                )
-            plan = cluster.coordinator.plan_recovery(
-                verdict.node_id, defer_routing=True
+            recover_broker(
+                self.cluster,
+                verdict.node_id,
+                replay_timeout=self.replay_timeout,
+                report=report,
             )
-            report.reassignments = dict(plan.reassignments)
-            cluster.repair_backups_for(verdict.node_id)
-            # FENCED -> REPLAYING
-            self._read_and_replay(verdict.node_id, plan, report)
-            # REPLAYING -> REROUTED
-            cluster.coordinator.commit_recovery(plan)
-            for node in sorted(cluster.backups):
-                if node != verdict.node_id and not cluster.is_failed(node):
-                    cluster.backup_drop_broker(node, verdict.node_id)
         except BaseException as exc:  # noqa: BLE001 - typed refusal, never silent
             report.error = exc
         report.recovery_seconds = time.monotonic() - started
         return report
-
-    def _read_and_replay(
-        self, failed: int, plan: RecoveryPlan, report: FailoverReport
-    ) -> None:
-        cluster = self.cluster
-        leaders = sorted(set(plan.reassignments.values()))
-        backups = [
-            node
-            for node in sorted(cluster.backups)
-            if node != failed and not cluster.is_failed(node)
-        ]
-        if not leaders:
-            return  # the dead broker led nothing: fencing was the recovery
-        # One read lane per (new leader, surviving backup): each lane
-        # pulls that backup's virtual segments for the dead broker and
-        # keeps the chunks its leader will own, preserving vseg
-        # structure (a filtered prefix is still a prefix, so the merge's
-        # consistency check holds on the filtered runs).
-        copies: dict[tuple[int, int], list[tuple[int, list[Chunk]]]] = {}
-        copies_lock = threading.Lock()
-        errors: list[BaseException] = []
-
-        def read_lane(lane: RecoveryLane) -> None:
-            lane.started = time.monotonic()
-            try:
-                run = cluster.backup_recovery_chunks(lane.backup, failed)
-                mine: list[tuple[int, list[Chunk]]] = []
-                for vseg_id, chunks in run:
-                    kept = [
-                        c
-                        for c in chunks
-                        if plan.reassignments.get((c.stream_id, c.streamlet_id))
-                        == lane.leader
-                    ]
-                    if kept:
-                        mine.append((vseg_id, kept))
-                lane.vsegs = len(mine)
-                lane.chunks = sum(len(chunks) for _, chunks in mine)
-                with copies_lock:
-                    copies[(lane.leader, lane.backup)] = mine
-            except BaseException as exc:  # noqa: BLE001 - surfaced below
-                with copies_lock:
-                    errors.append(exc)
-            finally:
-                lane.finished = time.monotonic()
-
-        read_lanes = [
-            RecoveryLane(leader=leader, backup=backup, phase="read")
-            for leader in leaders
-            for backup in backups
-        ]
-        report.lanes.extend(read_lanes)
-        threads = [
-            threading.Thread(
-                target=read_lane,
-                args=(lane,),
-                name=f"recovery-read-{lane.leader}-{lane.backup}",
-                daemon=True,
-            )
-            for lane in read_lanes
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        if errors:
-            raise errors[0]
-
-        # Merge each leader's copies (longest prefix wins, repair echoes
-        # collapsed) and register the streamlets it is taking over.
-        merged_by_leader: dict[int, list[tuple[int, list[Chunk]]]] = {}
-        for leader in leaders:
-            runs = [copies[(leader, backup)] for backup in backups if (leader, backup) in copies]
-            merged = merge_backup_copies(runs)
-            merged_by_leader[leader] = merged
-            report.vsegs_merged += len(merged)
-        for (stream_id, streamlet_id), target in plan.reassignments.items():
-            cluster.brokers[target].ensure_streamlet(stream_id, streamlet_id)
-
-        # One replay lane per leader: virtual segments replay in id order
-        # (per virtual log, creation order = append order), each through
-        # the ordinary produce path so exactly-once dedup and per-
-        # (streamlet, entry) ordering hold. Leaders replay in parallel —
-        # a (stream, streamlet, producer) sequence lives entirely within
-        # one streamlet, hence one leader, so cross-leader order is free.
-        replay_lanes = {
-            leader: RecoveryLane(leader=leader, backup=-1, phase="replay")
-            for leader in leaders
-            if merged_by_leader[leader]
-        }
-        report.lanes.extend(replay_lanes.values())
-        tallies_lock = threading.Lock()
-
-        def replay_lane(lane: RecoveryLane) -> None:
-            lane.started = time.monotonic()
-            try:
-                for _vseg_id, chunks in merged_by_leader[lane.leader]:
-                    request = ProduceRequest(
-                        request_id=cluster._next_request_id(),
-                        producer_id=0,  # per-chunk producer ids drive dedup
-                        chunks=chunks,
-                    )
-                    response = cluster.transport.call(
-                        CLIENT_NODE,
-                        lane.leader,
-                        "broker",
-                        "produce",
-                        request,
-                        request.payload_bytes(),
-                    )
-                    lane.vsegs += 1
-                    lane.chunks += len(chunks)
-                    with tallies_lock:
-                        for assignment, chunk in zip(
-                            response.assignments, chunks, strict=True
-                        ):
-                            if assignment.duplicate:
-                                report.duplicates_dropped += 1
-                            else:
-                                report.chunks_replayed += 1
-                                report.records_replayed += chunk.record_count
-            except BaseException as exc:  # noqa: BLE001 - surfaced below
-                with copies_lock:
-                    errors.append(exc)
-            finally:
-                lane.finished = time.monotonic()
-
-        threads = [
-            threading.Thread(
-                target=replay_lane,
-                args=(lane,),
-                name=f"recovery-replay-{leader}",
-                daemon=True,
-            )
-            for leader, lane in replay_lanes.items()
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(self.replay_timeout)
-        if errors:
-            raise errors[0]

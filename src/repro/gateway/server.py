@@ -36,14 +36,12 @@ from __future__ import annotations
 import asyncio
 import struct
 import threading
-import time
 from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any
 
 from repro.common.checksum import crc32c_many
 from repro.common.errors import ChecksumError, RpcError
-from repro.replication.flow import AdaptiveBatcher
 from repro.wire.netframe import (
     DEFAULT_MAX_FRAME_BYTES,
     FrameProtocolError,
@@ -54,6 +52,9 @@ from repro.gateway import protocol
 from repro.kera.live import LiveKeraCluster
 from repro.kera.messages import ProduceResponse
 from repro.wire.chunk import Chunk
+
+#: Threads for blocking cluster calls (fetch, create-stream) and lane flushes.
+_EXECUTOR_WORKERS = 16
 
 #: Monotonic counters a gateway maintains; reads aggregate across shards.
 _STAT_FIELDS = (
@@ -170,15 +171,12 @@ class _GatewayProduce:
 class _Lane:
     """Per-target-broker coalescing state."""
 
-    __slots__ = ("slices", "pending_chunks", "busy", "batcher", "timer")
+    __slots__ = ("slices", "busy")
 
-    def __init__(self, linger_s: float) -> None:
+    def __init__(self) -> None:
         # Each slice: (greq, producer_id, [(orig_index, chunk), ...]).
         self.slices: list[tuple[_GatewayProduce, int, list[tuple[int, Chunk]]]] = []
-        self.pending_chunks = 0
         self.busy = False  # append token held by an in-flight merged request
-        self.batcher = AdaptiveBatcher(linger_s=linger_s)
-        self.timer: asyncio.TimerHandle | None = None
 
 
 class _ProduceCoalescer:
@@ -190,14 +188,14 @@ class _ProduceCoalescer:
     merge is submitted only once the previous append returns (the
     ``on_append`` token), which preserves per-streamlet ``chunk_seq``
     order at the broker — while replication acks for earlier merges still
-    overlap. Completion fans back out: every covered gateway request is
+    overlap. No linger: an idle lane ships at once, a busy one batches what
+    arrives until its token frees. Completion fans back out: every covered gateway request is
     acked (its future resolved on the loop) when its covering broker
     response lands.
     """
 
-    def __init__(self, server: "GatewayServer", linger_s: float) -> None:
+    def __init__(self, server: "GatewayServer") -> None:
         self._server = server
-        self._linger_s = linger_s
         self._lock = threading.Lock()
         self._lanes: dict[int, _Lane] = {}  # guarded-by: _lock
 
@@ -217,35 +215,13 @@ class _ProduceCoalescer:
             for broker_id, items in by_broker.items():
                 lane = self._lanes.get(broker_id)
                 if lane is None:
-                    lane = self._lanes[broker_id] = _Lane(self._linger_s)
+                    lane = self._lanes[broker_id] = _Lane()
                 lane.slices.append((greq, producer_id, items))
-                lane.pending_chunks += len(items)
-                if lane.busy:
-                    continue  # flushed again when the append token frees
-                delay = lane.batcher.linger_delay(lane.pending_chunks, time.monotonic())
-                if delay <= 0:
+                if not lane.busy:  # else: flushed when the append token frees
                     lane.busy = True
                     flush_now.append(broker_id)
-                elif lane.timer is None:
-                    loop = self._server._loop
-                    assert loop is not None
-                    lane.timer = loop.call_later(delay, self._timer_fire, broker_id)
         for broker_id in flush_now:
             self._server._executor.submit(self._flush, broker_id)
-
-    def _timer_fire(self, broker_id: int) -> None:
-        # Loop thread. Timers are never cancelled from other threads
-        # (TimerHandle.cancel is not thread-safe); a stale fire just
-        # no-ops against the lane state.
-        with self._lock:
-            lane = self._lanes.get(broker_id)
-            if lane is None:
-                return
-            lane.timer = None
-            if lane.busy or not lane.slices:
-                return
-            lane.busy = True
-        self._server._executor.submit(self._flush, broker_id)
 
     # -- executor threads -----------------------------------------------------
 
@@ -259,13 +235,9 @@ class _ProduceCoalescer:
                 return
             slices = lane.slices
             lane.slices = []
-            lane.pending_chunks = 0
             if not slices:
                 lane.busy = False
                 return
-            lane.batcher.observe_ship(
-                sum(len(items) for _, _, items in slices), time.monotonic()
-            )
         slices = self._verify_slices(slices)
         if not slices:
             # Every pending slice failed verification; pass the append
@@ -353,8 +325,7 @@ class _ProduceCoalescer:
             if not lane.slices:
                 lane.busy = False
                 return
-            # Keep the token: chain straight into the next merge — the
-            # pipeline is warm, no linger.
+            # Keep the token: chain straight into the next merge.
         self._server._executor.submit(self._flush, broker_id)
 
     def _completed(
@@ -397,8 +368,6 @@ class GatewayServer:
         host: str = "127.0.0.1",
         port: int = 0,
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
-        executor_workers: int = 16,
-        produce_linger_ms: float = 0.0,
     ) -> None:
         self.cluster = cluster
         self.host = host
@@ -406,9 +375,9 @@ class GatewayServer:
         self.max_frame_bytes = max_frame_bytes
         self.stats = GatewayStats()
         self._executor = ThreadPoolExecutor(
-            max_workers=executor_workers, thread_name_prefix="gateway-call"
+            max_workers=_EXECUTOR_WORKERS, thread_name_prefix="gateway-call"
         )
-        self._coalescer = _ProduceCoalescer(self, produce_linger_ms / 1000.0)
+        self._coalescer = _ProduceCoalescer(self)
         self._loop: asyncio.AbstractEventLoop | None = None
         self._thread: threading.Thread | None = None
         self._server: asyncio.Server | None = None
@@ -542,18 +511,7 @@ class GatewayServer:
         except struct.error:
             return  # not even a request id: nothing to address a reply to
         try:
-            if kind == protocol.GW_PRODUCE:
-                # Decode + enroll run synchronously here — no await
-                # before them — so tasks created in frame-receipt order
-                # enroll (and therefore append) in wire order, keeping a
-                # pipelining producer's per-streamlet chunk_seq intact.
-                # The await parks only this coroutine: no executor thread
-                # is held across the replication ack wait.
-                future = self._submit_produce(payload)
-                assignments = await future
-                out_kind = protocol.GW_PRODUCE_OK
-                parts = protocol.encode_produce_ok(request_id, assignments)
-            elif kind == protocol.GW_FETCH:
+            if kind == protocol.GW_FETCH:
                 out_kind, parts = await loop.run_in_executor(
                     self._executor, self._do_fetch, payload
                 )

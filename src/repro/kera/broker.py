@@ -58,8 +58,6 @@ class ProduceOutcome:
     new_chunks: list[StoredChunk] = field(default_factory=list)
     #: Number of records newly appended.
     new_records: int = 0
-    #: Payload bytes newly appended.
-    new_bytes: int = 0
     #: True when the ack must wait for replication (driver parks).
     pending: bool = False
     duplicates: int = 0
@@ -205,7 +203,6 @@ class KeraBrokerCore:
             self.manager.replicate(stored, entry)
             outcome.new_chunks.append(stored)
             outcome.new_records += stored.record_count
-            outcome.new_bytes += stored.payload_len
             self.records_ingested += stored.record_count
             self.chunks_ingested += 1
             self.bytes_ingested += stored.payload_len
@@ -392,3 +389,9 @@ class KeraBrokerCore:
 
     def pending_chunks(self) -> int:
         return self.manager.pending_chunks()
+
+    def inflight_chunks(self, stream_id: int, streamlet_id: int) -> int:
+        """Chunks of one streamlet appended but not yet durable (a
+        voluntary move waits for zero before it reads the streamlet)."""
+        with self._mutex:
+            return sum(key[:2] == (stream_id, streamlet_id) for key in self._inflight)

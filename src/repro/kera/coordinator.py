@@ -32,9 +32,13 @@ class StreamMetadata:
 
 @dataclass
 class RecoveryPlan:
-    """Reassignment of a crashed broker's streamlets to survivors."""
+    """A reassignment of streamlets to new leaders: a crashed broker's
+    whole load spread over the survivors, or one streamlet's voluntary
+    move (:meth:`Coordinator.plan_migration`)."""
 
-    failed_broker: int
+    #: The leader the streamlets move off: the broker that died, or the
+    #: live leader of a voluntary move.
+    source: int
     #: (stream_id, streamlet_id) -> new leading broker.
     reassignments: dict[tuple[int, int], int]
     survivors: list[int]
@@ -127,13 +131,39 @@ class Coordinator:
                     meta.leaders[sid] = target
                 i += 1
         return RecoveryPlan(
-            failed_broker=failed_broker,
+            source=failed_broker,
             reassignments=reassignments,
             survivors=survivors,
         )
 
+    def plan_migration(
+        self, stream_id: int, streamlet_id: int, target: int
+    ) -> RecoveryPlan:
+        """Plan one streamlet's voluntary move to ``target``. Routing is
+        always deferred: the catalog keeps pointing at the current
+        leader until :meth:`commit_recovery`."""
+        leaders = self.stream(stream_id).leaders
+        if streamlet_id not in leaders:
+            raise StorageError(f"stream {stream_id} has no streamlet {streamlet_id}")
+        if target not in self.live_brokers:
+            raise StorageError(f"target broker {target} is not a live broker")
+        if target == leaders[streamlet_id]:
+            raise StorageError(f"streamlet already led by broker {target}")
+        return RecoveryPlan(
+            source=leaders[streamlet_id],
+            reassignments={(stream_id, streamlet_id): target},
+            survivors=self.live_brokers,
+        )
+
     def commit_recovery(self, plan: RecoveryPlan) -> None:
         """Apply a deferred plan's leader updates: replay finished, the
-        new leaders own every re-ingested record, clients may re-route."""
+        new leaders own every re-ingested record, clients may re-route.
+        Refused whole if another move re-routed one of the streamlets
+        meanwhile — its target may have taken writes this one lacks."""
+        moved = [k for k in plan.reassignments if self.stream(k[0]).leaders[k[1]] != plan.source]
+        if moved:
+            raise RecoveryError(
+                f"{moved} left broker {plan.source} under the move; routing not committed"
+            )
         for (stream_id, sid), target in plan.reassignments.items():
             self.stream(stream_id).leaders[sid] = target

@@ -2,18 +2,24 @@
 
 :class:`LiveKeraCluster` is the transport-agnostic facade shared by the
 synchronous in-process driver (:mod:`repro.kera.inproc`) and the
-concurrent threaded driver (:mod:`repro.kera.threaded`). It assembles the
-cluster on :class:`repro.runtime.ClusterRuntime`, routes client requests
-to leaders over the transport, and exposes the surface recovery and
-migration drive (``brokers``/``backups``/``coordinator``/
-``pump_replication``/``crash_broker``).
+concurrent drivers (:mod:`repro.kera.threaded` and its worker-process
+siblings). It assembles the cluster on
+:class:`repro.runtime.ClusterRuntime`, routes client requests to leaders
+over the transport, and exposes what the streamlet-move machine
+(:mod:`repro.kera.recovery`) drives: fences, the ``backup_*`` operator
+calls, ``submit_produce``.
 
-Subclasses register their transport-specific broker wrappers in
-:meth:`_register_services`. The backup side is the same on every driver:
-a :class:`~repro.kera.backup_service.BackupService` bound to
-``(node, "backup")`` — as a live object or as a worker-process spec —
-so the transport is the one handle to a backup, and every operator
-method below is a single ``transport.call``.
+Both sides of a node are the same on every driver. The broker side is
+one :class:`BrokerService` bound to ``(node, "broker")``, and a produce
+completes one way: the service appends and kicks replication, and
+``submit_produce`` fires the caller's ``on_complete`` off the runtime's
+:class:`CompletionTracker` when the last chunk is durable — no handler
+thread waits for an ack. The backup side is one
+:class:`~repro.kera.backup_service.BackupService` bound to ``(node,
+"backup")``, so every operator method below is a single
+``transport.call``. A driver contributes its transport, where its
+backups live (:meth:`_backup_binding`) and how replication is kicked
+(:meth:`_kick_replication`).
 """
 
 from __future__ import annotations
@@ -24,14 +30,16 @@ from collections import defaultdict
 from collections.abc import Callable
 
 from repro.common.errors import (
+    ConfigError,
     NotLeaderError,
     ReplicationError,
+    RpcError,
     StorageError,
 )
 from repro.common.idgen import IdGenerator
 from repro.runtime.runtime import ClusterRuntime
 from repro.runtime.system import KeraSystem
-from repro.runtime.transport import Transport
+from repro.runtime.transport import LiveService, Transport
 from repro.kera.backup import KeraBackupCore
 from repro.kera.backup_service import BackupService
 from repro.kera.broker import KeraBrokerCore
@@ -51,6 +59,35 @@ CLIENT_NODE = -1
 #: ``on_complete(response, error)`` for one broker's async produce:
 #: exactly one of the two is non-None, fired exactly once.
 ProduceCallback = Callable[["ProduceResponse | None", "BaseException | None"], None]
+
+
+class ProduceAck:
+    """The blocking face of one :meth:`LiveKeraCluster.submit_produce`:
+    pass it as ``on_complete``, then :meth:`wait` for the response."""
+
+    __slots__ = ("_done", "_response", "_error", "_timeout")
+
+    def __init__(self, ack_timeout: float) -> None:
+        self._done = threading.Event()
+        self._response: ProduceResponse | None = None
+        self._error: BaseException | None = None
+        # submit_produce enforces ack_timeout itself (shipper sweep); the
+        # wait is a backstop with headroom so the typed timeout error
+        # from the completion path wins the race.
+        self._timeout = ack_timeout + 5.0
+
+    def __call__(
+        self, response: ProduceResponse | None, error: BaseException | None
+    ) -> None:
+        self._response, self._error = response, error
+        self._done.set()
+
+    def wait(self) -> ProduceResponse:
+        if not self._done.wait(self._timeout):
+            raise ReplicationError(f"produce did not resolve within {self._timeout}s")
+        if self._error is not None or self._response is None:
+            raise self._error or RpcError("produce returned no response")
+        return self._response
 
 
 class _AsyncProduce:
@@ -85,6 +122,113 @@ class _AsyncProduce:
         self.done = False  # checked-and-set under the owning cluster's _async_lock
 
 
+class BrokerService(LiveService):
+    """One node's broker core behind ``handle(method, request)``: ping,
+    fence check, sorted per-sub-partition locks, append, fetch."""
+
+    def __init__(self, cluster: "LiveKeraCluster", node_id: int) -> None:
+        self.cluster = cluster
+        self.node_id = node_id
+        self.core = cluster.brokers[node_id]
+        self._locks_guard = threading.Lock()
+        # (stream, streamlet, entry) -> that sub-partition's append lock.
+        self._locks = defaultdict(threading.Lock)  # guarded-by: _locks_guard
+        self._fenced = False  # set once by fence(); never cleared
+        # (stream, streamlet) pairs fenced for a move. Replaced, never
+        # mutated, so the produce path reads it without a lock.
+        self._moving: frozenset[tuple[int, int]] = frozenset()
+
+    def _lock(self, key: tuple[int, int, int]) -> threading.Lock:
+        with self._locks_guard:
+            return self._locks[key]
+
+    # -- fences -------------------------------------------------------------------
+
+    def fence(self) -> None:
+        """Stop serving: every subsequent request gets a typed routing
+        error. One-way — a fenced broker never comes back under the same
+        identity (its streamlets move to survivors)."""
+        self._fenced = True
+
+    def fence_streamlet(self, stream_id: int, streamlet_id: int) -> None:
+        """Refuse produces to one streamlet (it is moving away). On
+        return no append to it is running and none can start: the mark
+        is checked under the sub-partition locks this passes through."""
+        with self._locks_guard:
+            self._moving = self._moving | {(stream_id, streamlet_id)}
+        for entry in range(self.cluster.config.storage.q_active_groups):
+            with self._lock((stream_id, streamlet_id, entry)):
+                pass
+
+    def unfence_streamlet(self, stream_id: int, streamlet_id: int) -> None:
+        """Serve the streamlet again: its move was abandoned, or it is
+        moving (back) here."""
+        with self._locks_guard:
+            self._moving = self._moving - {(stream_id, streamlet_id)}
+
+    def _refusal(self, stream_id: int, streamlet_id: int) -> NotLeaderError:
+        """The typed routing error for a fenced node or streamlet:
+        ``leader`` is None until the move's routing commits."""
+        leader: int | None = None
+        if stream_id >= 0:
+            try:
+                current = self.cluster.leader_of(stream_id, streamlet_id)
+            except Exception:  # noqa: BLE001 - stream unknown mid-recovery
+                current = self.node_id
+            if current != self.node_id:
+                leader = current  # the move already committed new routing
+        return NotLeaderError(stream_id, streamlet_id, leader)
+
+    # -- dispatch -----------------------------------------------------------------
+
+    def handle(self, method: str, request: object) -> object:
+        if method == "ping":
+            if self._fenced:
+                raise RpcError(f"broker {self.node_id} is fenced")
+            return self.node_id
+        if self._fenced:
+            items = getattr(request, "chunks", None) or getattr(request, "positions", None)
+            if items:
+                raise self._refusal(items[0].stream_id, items[0].streamlet_id)
+            raise self._refusal(-1, -1)
+        if method == "produce_async":
+            # Append, kick replication, return the whole outcome: the
+            # caller (``submit_produce``) registers with the completion
+            # tracker, so nothing waits here for replication acks.
+            outcome = self._append(request)
+            self.cluster._kick_replication(self.node_id)
+            return outcome
+        if method == "fetch":
+            return self.core.handle_fetch(request)
+        raise ConfigError(f"unknown broker method {method!r}")
+
+    def _append(self, request: ProduceRequest) -> object:
+        # Per-sub-partition serialization, exactly as the sim driver
+        # models it: every (stream, streamlet, entry) sub-partition the
+        # request touches is locked — in sorted order, so two requests
+        # with overlapping footprints can never deadlock. Q > 1 lets
+        # distinct producers append in parallel, and because a producer's
+        # retransmissions land on the same sub-partition, duplicate
+        # detection is race-free.
+        q = self.cluster.config.storage.q_active_groups
+        keys = sorted(
+            {(c.stream_id, c.streamlet_id, c.producer_id % q) for c in request.chunks}
+        )
+        locks = [self._lock(key) for key in keys]
+        for lock in locks:
+            lock.acquire()
+        try:
+            moving = self._moving
+            if moving:
+                for stream_id, streamlet_id, _entry in keys:
+                    if (stream_id, streamlet_id) in moving:
+                        raise self._refusal(stream_id, streamlet_id)
+            return self.core.handle_produce(request)
+        finally:
+            for lock in reversed(locks):
+                lock.release()
+
+
 class LiveKeraCluster:
     """A whole KerA cluster in one process, behind one transport."""
 
@@ -110,6 +254,7 @@ class LiveKeraCluster:
         # Backup services this process hosts as live objects (worker
         # processes close their own): closed after the transport stops.
         self._local_backups: list[BackupService] = []
+        self._broker_services: dict[int, BrokerService] = {}
         self._drain_on_close = True
         # The live failover plane, when installed (repro.failover.plane).
         # The cluster never imports it: the dependency points failover →
@@ -122,15 +267,19 @@ class LiveKeraCluster:
 
     def _register_services(self) -> None:
         for node in self.system.node_ids:
-            self.transport.register(node, "broker", self._broker_service(node))
+            service = self._broker_services[node] = BrokerService(self, node)
+            self.transport.register(node, "broker", service)
             # One worker: the backup core stays single-threaded.
             self.transport.register(
                 node, "backup", self._backup_binding(node), workers=1
             )
 
-    def _broker_service(self, node_id: int) -> object:  # pragma: no cover - interface
-        """The driver's broker wrapper for one node."""
-        raise NotImplementedError
+    def _kick_replication(self, node_id: int) -> None:
+        """Get a broker's fresh references shipped. The synchronous
+        default pumps inline — the request has completed (and the tracker
+        remembers it) before its outcome returns to ``submit_produce``;
+        shipper-driven clusters wake the node's shipper instead."""
+        self.system.drive_replication(node_id, self._replication_send(node_id))
 
     def _backup_binding(self, node_id: int) -> object:  # pragma: no cover - interface
         """What hosts one node's backup: a :meth:`_local_backup` live
@@ -256,8 +405,8 @@ class LiveKeraCluster:
     ) -> int:
         """Issue one broker's produce without blocking any caller thread.
 
-        The request is appended and replication kicked by the broker's
-        ``produce_async`` handler; the ack wait is completion-driven:
+        The request is appended and replication kicked by the node's
+        :class:`BrokerService`; the ack wait is completion-driven:
         ``on_complete(response, error)`` fires exactly once — on a
         transport or shipper thread (or inline, for synchronous
         transports) — when every chunk is durable, or on failure/timeout.
@@ -323,9 +472,7 @@ class LiveKeraCluster:
                 on_done=on_submitted,
             )
         except BaseException as exc:  # noqa: BLE001 - enqueue-side failure
-            if on_append is not None:
-                on_append()
-            self._finish_async(state, None, exc)
+            on_submitted(None, exc)
         return request.request_id
 
     def produce_async(
@@ -348,43 +495,13 @@ class LiveKeraCluster:
         the (acknowledged) responses — one per broker touched.
 
         A thin blocking wrapper over :meth:`submit_produce`: the caller
-        parks on one event while the completion path does the work."""
-        by_broker = self._by_leader(chunks)
-        slots: list[ProduceResponse | None] = [None] * len(by_broker)
-        errors: list[BaseException] = []
-        done = threading.Event()
-        lock = threading.Lock()
-        pending = len(by_broker)
-
-        def callback_for(index: int) -> ProduceCallback:
-            def on_complete(
-                response: ProduceResponse | None, error: BaseException | None
-            ) -> None:
-                nonlocal pending
-                with lock:
-                    slots[index] = response
-                    if error is not None:
-                        errors.append(error)
-                    pending -= 1
-                    last = pending == 0
-                if last:
-                    done.set()
-
-            return on_complete
-
-        for index, (broker_id, batch) in enumerate(by_broker.items()):
-            self.submit_produce(broker_id, batch, producer_id, callback_for(index))
-        # submit_produce enforces ack_timeout itself (shipper sweep); the
-        # wait here is a backstop with headroom so the typed timeout error
-        # from the completion path wins the race.
-        if not done.wait(self.ack_timeout + 5.0):
-            raise ReplicationError(
-                f"produce of {len(chunks)} chunks did not resolve within "
-                f"{self.ack_timeout + 5.0}s"
-            )
-        if errors:
-            raise errors[0]
-        return [response for response in slots if response is not None]
+        waits on the acks while the completion path does the work."""
+        acks = []
+        for broker_id, batch in self._by_leader(chunks).items():
+            ack = ProduceAck(self.ack_timeout)
+            acks.append(ack)
+            self.submit_produce(broker_id, batch, producer_id, ack)
+        return [ack.wait() for ack in acks]
 
     # -- async produce bookkeeping ---------------------------------------------------
 
@@ -414,39 +531,39 @@ class LiveKeraCluster:
         drivers override; the synchronous driver has no shippers)."""
         return None
 
-    def _on_shipper_error(self, broker_id: int, error: BaseException) -> None:
-        """A broker's shipper died: fail every produce parked on it."""
+    def _fail_produces(
+        self,
+        broker_id: int,
+        error_for: Callable[[_AsyncProduce], BaseException | None],
+    ) -> None:
+        """Fail the in-flight produces toward ``broker_id`` that ``error_for`` names."""
         with self._async_lock:
             states = list(self._async_produces.get(broker_id, {}).values())
         for state in states:
-            self._finish_async(
-                state,
-                None,
-                ReplicationError(
-                    f"replication shipper for broker {broker_id} failed: {error!r}"
-                ),
-            )
+            error = error_for(state)
+            if error is not None:
+                self._finish_async(state, None, error)
+
+    def _on_shipper_error(self, broker_id: int, error: BaseException) -> None:
+        """A broker's shipper died: fail every produce waiting on it."""
+        failure = ReplicationError(
+            f"replication shipper for broker {broker_id} failed: {error!r}"
+        )
+        self._fail_produces(broker_id, lambda _state: failure)
 
     def _sweep_async_produces(self, broker_id: int) -> None:
         """Fail async produces past their ack deadline (shipper-thread
-        housekeeping; the completion-driven analogue of the parked
-        handler's ``Event.wait(ack_timeout)`` expiring)."""
+        housekeeping: a completion-driven produce has no thread of its
+        own whose wait could expire)."""
         now = time.monotonic()
-        with self._async_lock:
-            expired = [
-                state
-                for state in self._async_produces.get(broker_id, {}).values()
-                if now >= state.deadline
-            ]
-        for state in expired:
-            self._finish_async(
-                state,
-                None,
-                ReplicationError(
-                    f"request {state.request_id} not durable within "
-                    f"{self.ack_timeout}s"
-                ),
+        self._fail_produces(
+            broker_id,
+            lambda state: ReplicationError(
+                f"request {state.request_id} not durable within {self.ack_timeout}s"
             )
+            if now >= state.deadline
+            else None,
+        )
 
     def inflight_produce_count(self) -> int:
         """Async produces submitted but not yet resolved (gauge)."""
@@ -474,13 +591,6 @@ class LiveKeraCluster:
             )
 
         return send
-
-    def pump_replication(self, broker_id: int) -> int:
-        """Ship every ready replication batch of a broker to its backups,
-        synchronously, until the broker has nothing left to ship."""
-        return self.system.drive_replication(
-            broker_id, self._replication_send(broker_id)
-        )
 
     # -- fetch path ---------------------------------------------------------------------
 
@@ -537,41 +647,43 @@ class LiveKeraCluster:
     def fence_node(self, node_id: int) -> bool:
         """Fence a node: stop its broker service from accepting requests
         and fail its in-flight produces with a typed routing error.
-        Idempotent; returns False when the node was already fenced."""
+        Idempotent; returns False when the node was already marked
+        failed (``crash_broker``, an earlier fence)."""
         with self._failed_lock:
-            if node_id in self._failed:
-                return False
+            fresh = node_id not in self._failed
             self._failed.add(node_id)
         self._fence_broker_service(node_id)
         self._fail_broker_produces(node_id)
-        return True
+        return fresh
 
     def _fence_broker_service(self, node_id: int) -> None:
-        """Driver hook: make the node's broker service refuse requests
-        (threaded drivers fence the in-parent service thread and halt its
-        shipper). The base cluster has nothing to fence."""
+        """Make the node's broker service refuse requests (shipper-driven
+        clusters also halt the node's shipper)."""
+        self._broker_services[node_id].fence()
+
+    def broker_service(self, node_id: int) -> BrokerService:
+        """A node's broker service (a voluntary move fences one streamlet on it)."""
+        return self._broker_services[node_id]
 
     def _fail_broker_produces(self, node_id: int) -> None:
         """Fail every in-flight async produce toward a fenced broker with
         ``NotLeaderError`` (leader unknown until recovery commits the new
         routing), so clients refresh metadata and retry instead of
         hanging out the ack timeout."""
-        with self._async_lock:
-            states = list(self._async_produces.get(node_id, {}).values())
-        for state in states:
-            stream_id, streamlet_id = state.route if state.route else (-1, -1)
-            self._finish_async(
-                state, None, NotLeaderError(stream_id, streamlet_id, None)
-            )
+        self._fail_produces(
+            node_id, lambda state: NotLeaderError(*(state.route or (-1, -1)), None)
+        )
 
-    def _ship_repairs(self, failed_node: int) -> None:
-        """Every surviving broker swaps ``failed_node`` out of its
-        virtual segments and re-ships the durable prefixes to the
-        replacements, synchronously from the calling thread."""
-        with self._failed_lock:
-            failed = set(self._failed)
+    def repair_backups_for(self, failed_node: int) -> None:
+        """Restore copy counts after a node loss: every surviving broker
+        swaps ``failed_node`` out of its virtual segments and re-ships
+        the durable prefixes to the replacements. The base
+        implementation sends synchronously from the calling thread
+        (inproc); shipper-driven clusters route the repair through each
+        survivor's shipper thread so a backup's per-vseg arrival order
+        always matches one thread's ship order."""
         for survivor_id, broker in self.brokers.items():
-            if survivor_id in failed:
+            if self.is_failed(survivor_id):
                 continue
             repairs = broker.handle_backup_failure(failed_node)
             send = self._replication_send(survivor_id)
@@ -579,13 +691,6 @@ class LiveKeraCluster:
                 request = self.system.replicate_request(survivor_id, batch)
                 for backup_node in batch.backups:
                     send(backup_node, request)
-
-    def repair_backups_for(self, failed_node: int) -> None:
-        """Restore copy counts after a node loss. The base implementation
-        sends synchronously (inproc); shipper-driven clusters route the
-        repair through each survivor's shipper thread so a backup's
-        per-vseg arrival order always matches one thread's ship order."""
-        self._ship_repairs(failed_node)
 
     # -- failure injection -------------------------------------------------------------------
 
@@ -597,7 +702,7 @@ class LiveKeraCluster:
         # mutation must not race them.
         with self._failed_lock:
             self._failed.add(broker_id)
-        self._ship_repairs(broker_id)
+        self.repair_backups_for(broker_id)
 
     @property
     def live_broker_ids(self) -> list[int]:

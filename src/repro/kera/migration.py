@@ -2,25 +2,25 @@
 
 ``M represents the maximum number of nodes that can ingest and store a
 stream's records (ensuring horizontal scalability through migration of
-streamlets to new brokers)`` (paper, Section IV-A). Migration reuses the
-recovery machinery, but sourced from the *live* broker instead of the
-backups: the source broker's chunks for the streamlet are replayed into
-the target through the ordinary produce path (placement tags and
-exactly-once sequence numbers travel with every chunk), the coordinator
-flips leadership, and the moved data is re-replicated from its new
-primary.
-
-Ordering per (streamlet, entry) is preserved for the same reason it is in
-recovery: chunks are replayed in group-creation/append order.
+streamlets to new brokers)`` (paper, Section IV-A). A migration is the
+recovery move (:func:`repro.kera.recovery.move_streamlets`) sourced from
+the *live* leader instead of the backups, on any live driver and under
+load: the streamlet — not the node — is fenced, its in-flight chunks
+become durable, its groups are replayed into the target through the
+ordinary produce path (placement tags and exactly-once sequence numbers
+travel with every chunk), and the coordinator flips leadership. This
+module is the source adapter and the report.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
-from repro.common.errors import StorageError
-from repro.kera.inproc import InprocKeraCluster
-from repro.kera.messages import ProduceRequest
+from repro.common.errors import ReplicationError
+from repro.kera.coordinator import RecoveryPlan
+from repro.kera.live import LiveKeraCluster
+from repro.kera.recovery import MoveSource, Run, move_streamlets
 
 
 @dataclass
@@ -36,54 +36,66 @@ class MigrationReport:
     bytes_moved: int = 0
 
 
+class LeaderSource(MoveSource):
+    """One streamlet, read from the live broker that leads it. Nothing
+    is released after the commit: the fence stays (the old leader now
+    answers ``NotLeaderError(leader=target)``) and its copy is garbage
+    a real system would reclaim lazily."""
+
+    def __init__(self, leader: int, stream_id: int, streamlet_id: int) -> None:
+        self.leader = leader
+        self.stream_id = stream_id
+        self.streamlet_id = streamlet_id
+
+    def fence(self, cluster: LiveKeraCluster) -> None:
+        cluster.broker_service(self.leader).fence_streamlet(
+            self.stream_id, self.streamlet_id
+        )
+
+    def gather(self, cluster: LiveKeraCluster, plan: RecoveryPlan) -> dict[int, list[Run]]:
+        core = cluster.brokers[self.leader]
+        # The fence stopped new appends; what was appended before it must
+        # be durable (acked or about to be) before it is copied — a chunk
+        # that never becomes durable was never acked and must not move.
+        deadline = time.monotonic() + cluster.ack_timeout
+        while core.inflight_chunks(self.stream_id, self.streamlet_id):
+            if time.monotonic() >= deadline:
+                raise ReplicationError(
+                    f"streamlet ({self.stream_id}, {self.streamlet_id}) still has "
+                    f"chunks in flight on broker {self.leader} after "
+                    f"{cluster.ack_timeout}s; not migrating"
+                )
+            time.sleep(0.001)
+        streamlet = core.registry.get(self.stream_id).streamlet(self.streamlet_id)
+        # One run per group, in creation order: per-entry append order.
+        runs = [
+            (group.group_id, [stored.to_wire_chunk() for stored in group.chunks()])
+            for group in streamlet.groups
+            if group.chunk_count
+        ]
+        (target,) = plan.reassignments.values()
+        return {target: runs} if runs else {}
+
+    def abandon(self, cluster: LiveKeraCluster) -> None:
+        cluster.broker_service(self.leader).unfence_streamlet(
+            self.stream_id, self.streamlet_id
+        )
+
+
 def migrate_streamlet(
-    cluster: InprocKeraCluster, stream_id: int, streamlet_id: int, target: int
+    cluster: LiveKeraCluster, stream_id: int, streamlet_id: int, target: int
 ) -> MigrationReport:
     """Move one streamlet's leadership (and data) to ``target``."""
-    meta = cluster.coordinator.stream(stream_id)
-    try:
-        source = meta.leaders[streamlet_id]
-    except KeyError:
-        raise StorageError(
-            f"stream {stream_id} has no streamlet {streamlet_id}"
-        ) from None
-    if target not in cluster.coordinator.live_brokers:
-        raise StorageError(f"target broker {target} is not a live broker")
-    if target == source:
-        raise StorageError(f"streamlet already led by broker {target}")
-    report = MigrationReport(
-        stream_id=stream_id, streamlet_id=streamlet_id, source=source, target=target
+    plan = cluster.coordinator.plan_migration(stream_id, streamlet_id, target)
+    replayed = move_streamlets(
+        cluster, plan, LeaderSource(plan.source, stream_id, streamlet_id)
     )
-
-    source_broker = cluster.brokers[source]
-    streamlet = source_broker.registry.get(stream_id).streamlet(streamlet_id)
-    if source_broker.manager.pending_chunks():
-        # Quiesce: in this synchronous driver replication is always pumped
-        # to completion, so pending work means an internal bug.
-        raise StorageError("cannot migrate with replication in flight")
-
-    # Register the streamlet on the target.
-    target_broker = cluster.brokers[target]
-    if stream_id in target_broker.registry:
-        target_broker.registry.get(stream_id).add_streamlet(streamlet_id)
-    else:
-        target_broker.create_stream(stream_id, [streamlet_id])
-
-    # Replay the data in group/append order through the produce path.
-    chunks = [stored.to_wire_chunk() for stored in streamlet.chunks()]
-    if chunks:
-        request = ProduceRequest(
-            request_id=cluster._request_ids.next(),
-            producer_id=0,
-            chunks=chunks,
-        )
-        outcome = target_broker.handle_produce(request)
-        cluster.pump_replication(target)
-        report.chunks_moved = len(outcome.new_chunks)
-        report.records_moved = outcome.new_records
-        report.bytes_moved = outcome.new_bytes
-
-    # Flip leadership; the source's copy is now garbage (a real system
-    # would reclaim its segments lazily).
-    meta.leaders[streamlet_id] = target
-    return report
+    return MigrationReport(
+        stream_id=stream_id,
+        streamlet_id=streamlet_id,
+        source=plan.source,
+        target=target,
+        chunks_moved=sum(lane.chunks - lane.duplicates for lane in replayed),
+        records_moved=sum(lane.records for lane in replayed),
+        bytes_moved=sum(lane.bytes for lane in replayed),
+    )

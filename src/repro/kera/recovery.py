@@ -1,47 +1,50 @@
-"""Crash recovery: re-ingest a failed broker's data from the backups.
+"""Moving streamlets: one machine for recovery, failover, restart, migration.
 
 ``Backups read segments from disk and issue writes to the new brokers
 responsible for recovering a crashed broker's lost data at recovery time.
 Each of these requests is handled as a normal producer request (i.e.,
 chunks are ingested into their respective groups) while metadata is
-safely reconstructed`` (paper, Section IV-B).
+safely reconstructed`` (paper, Section IV-B). Migration (Section IV-A's
+M) moves a streamlet the same way, reading the live leader instead of
+the backups. So there is one move, :func:`move_streamlets`:
 
-Because consecutive virtual segments scatter over rotating backup sets,
-each backup holds a *subset* of the broker's virtual segments, and with
-R >= 3 every virtual segment exists on several backups. Recovery merges
-the copies by virtual segment id (creation order — which, per virtual
-log, is chunk append order), verifies replica consistency, routes every
-chunk to the streamlet's new leader, and replays it through the ordinary
-produce path. Exactly-once de-duplication makes replayed duplicates
-harmless; per-(streamlet, entry) ordering is preserved because all chunks
-of an entry flow through one virtual log.
+    fence → gather → ensure on targets → replay → commit routing → release
+
+* **fence** what is moving on its current leader — the whole node for a
+  death, one streamlet for a voluntary move. Clients get a typed
+  ``NotLeaderError(leader=None)`` until the commit: re-routing a retry
+  before the replayed prefix lands would let the retried ``chunk_seq``
+  arrive first, and exactly-once dedup would then drop the replay.
+* **gather** ordered ``(run, chunks)`` from a :class:`MoveSource`: the
+  surviving backups' virtual segments (:class:`BackupSource` — each
+  backup holds a subset, with R >= 3 every segment exists on several,
+  and :func:`merge_backup_copies` merges and cross-checks them), or the
+  live leader's own groups (:mod:`repro.kera.migration`).
+* **replay** (:func:`replay_runs`, the one replay loop) through
+  :meth:`LiveKeraCluster.submit_produce`, one lane per target leader.
+  Exactly-once dedup makes replayed duplicates harmless; per-(streamlet,
+  entry) order holds because runs replay in creation order.
+* **commit** the plan in the coordinator, **release** the source's copy.
+
+Restart (:func:`restore_cluster_from_disk`) reads the copies from disk
+into a fresh cluster — nothing to fence or re-route: the replay step alone.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+import threading
+import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from repro.common.errors import RecoveryError
+from repro.common.errors import RecoveryError, ReplicationError
 from repro.wire.chunk import Chunk
-from repro.kera.inproc import InprocKeraCluster
-from repro.kera.live import LiveKeraCluster
-from repro.kera.messages import ProduceRequest
+from repro.kera.coordinator import RecoveryPlan
+from repro.kera.live import LiveKeraCluster, ProduceAck
 
-
-@dataclass
-class RecoveryReport:
-    """What a recovery pass did."""
-
-    failed_broker: int
-    vsegs_merged: int = 0
-    chunks_recovered: int = 0
-    records_recovered: int = 0
-    duplicates_dropped: int = 0
-    #: (stream, streamlet) -> new leader, as executed.
-    reassignments: dict[tuple[int, int], int] = field(default_factory=dict)
-    #: How many backups contributed at least one virtual segment.
-    backups_read: int = 0
+#: One ordered replay unit — a virtual segment's or a group's chunks in
+#: append order, under its id.
+Run = tuple[int, list[Chunk]]
 
 
 def merge_backup_copies(
@@ -99,75 +102,298 @@ def merge_backup_copies(
     return [(vseg_id, merged[vseg_id]) for vseg_id in sorted(merged)]
 
 
-def recover_broker(cluster: InprocKeraCluster, failed_broker: int) -> RecoveryReport:
-    """Full recovery of one crashed broker on the in-process cluster.
+# -- the replay loop ---------------------------------------------------------------
 
-    1. The coordinator marks the broker failed and reassigns streamlets.
-    2. Surviving brokers repair virtual segments that used the dead node
-       as a backup (:meth:`InprocKeraCluster.crash_broker`).
-    3. Backups hand over the dead broker's replicated segments; copies
-       are merged and replayed into the new leaders as ordinary produce
-       requests, replicated to the (surviving) backups.
-    """
-    report = RecoveryReport(failed_broker=failed_broker)
-    plan = cluster.coordinator.plan_recovery(failed_broker)
-    report.reassignments = dict(plan.reassignments)
-    cluster.crash_broker(failed_broker)
 
-    # Gather the lost data from every surviving backup. Routed through
-    # the cluster accessor so drivers whose backup cores live in another
-    # address space answer over their transport.
-    copies = []
-    for node in sorted(cluster.backups):
-        if node == failed_broker:
-            continue
-        run = cluster.backup_recovery_chunks(node, failed_broker)
-        if run:
-            copies.append(run)
-            report.backups_read += 1
-    merged = merge_backup_copies(copies)
-    report.vsegs_merged = len(merged)
+@dataclass
+class RecoveryLane:
+    """One timed unit of parallel move work, and what it moved."""
 
-    # Make sure target brokers know the reassigned streamlets.
-    for (stream_id, streamlet_id), target in plan.reassignments.items():
-        broker = cluster.brokers[target]
-        if stream_id in broker.registry:
-            stream = broker.registry.get(stream_id)
-            if streamlet_id not in stream.streamlet_ids:
-                stream.add_streamlet(streamlet_id)
-        else:
-            broker.create_stream(stream_id, [streamlet_id])
+    leader: int
+    backup: int
+    #: ``"read"`` (pull one backup's copies) or ``"replay"`` (produce a
+    #: leader's runs); replay lanes have ``backup == -1``.
+    phase: str
+    started: float = 0.0
+    finished: float = 0.0
+    vsegs: int = 0
+    #: Chunks read, or replayed (``duplicates`` of them were absorbed by
+    #: the target's exactly-once check).
+    chunks: int = 0
+    duplicates: int = 0
+    #: Records and payload bytes newly ingested (replay lanes).
+    records: int = 0
+    bytes: int = 0
 
-    # Replay in virtual-segment order; route each chunk to its new leader.
-    for _, chunks in merged:
-        by_target: dict[int, list[Chunk]] = {}
-        for chunk in chunks:
-            target = plan.reassignments.get((chunk.stream_id, chunk.streamlet_id))
-            if target is None:
-                raise RecoveryError(
-                    f"recovered chunk for ({chunk.stream_id}, {chunk.streamlet_id}) "
-                    "which was not led by the failed broker"
-                )
-            by_target.setdefault(target, []).append(chunk)
-        for target, target_chunks in by_target.items():
-            broker = cluster.brokers[target]
-            request = ProduceRequest(
-                request_id=cluster._request_ids.next(),
-                producer_id=0,  # per-chunk producer ids drive routing/dedup
-                chunks=target_chunks,
+
+def replay_runs(cluster: LiveKeraCluster, lane: RecoveryLane, runs: list[Run]) -> None:
+    """Replay ordered runs into ``lane.leader`` as ordinary produce
+    requests, one run at a time, each acknowledged (durable on the
+    target's backups) before the next is sent. New vs duplicate is
+    counted into ``lane`` from the response assignments, per run."""
+    for _run_id, chunks in runs:
+        ack = ProduceAck(cluster.ack_timeout)
+        # Producer id 0: routing and dedup key off each chunk's own id.
+        cluster.submit_produce(lane.leader, chunks, 0, ack)
+        response = ack.wait()
+        lane.vsegs += 1
+        lane.chunks += len(chunks)
+        for assignment, chunk in zip(response.assignments, chunks, strict=True):
+            if assignment.duplicate:
+                lane.duplicates += 1
+            else:
+                lane.records += chunk.record_count
+                lane.bytes += chunk.payload_len
+
+
+# -- the move machine ----------------------------------------------------------------
+
+
+def _run_lanes(
+    lanes: list[RecoveryLane],
+    work: Callable[[RecoveryLane], None],
+    timeout: float | None = None,
+) -> None:
+    """Run ``work(lane)`` for every lane on its own thread, timed. The
+    first lane error re-raises here; a lane still running after
+    ``timeout`` raises :class:`RecoveryError` (it keeps running — the
+    caller must not act on its result)."""
+    errors: list[BaseException] = []
+
+    def timed(lane: RecoveryLane) -> None:
+        lane.started = time.monotonic()
+        try:
+            work(lane)
+        except BaseException as exc:  # noqa: BLE001 - re-raised by the joiner
+            errors.append(exc)
+        finally:
+            lane.finished = time.monotonic()
+
+    threads = [
+        threading.Thread(
+            target=timed,
+            args=(lane,),
+            name=f"recovery-{lane.phase}-{lane.leader}"
+            + (f"-{lane.backup}" if lane.backup >= 0 else ""),
+            daemon=True,
+        )
+        for lane in lanes
+    ]
+    for thread in threads:
+        thread.start()
+    deadline = None if timeout is None else time.monotonic() + timeout
+    for thread in threads:
+        thread.join(None if deadline is None else max(deadline - time.monotonic(), 0.0))
+    stalled = [thread.name for thread in threads if thread.is_alive()]
+    if stalled:
+        raise RecoveryError(
+            f"lanes still running after {timeout}s: {', '.join(stalled)}"
+        )
+    if errors:
+        raise errors[0]
+
+
+class MoveSource:
+    """Where a move's chunks come from, and what holds still meanwhile."""
+
+    def fence(self, cluster: LiveKeraCluster) -> None:
+        """Stop the current leader from accepting the moving data."""
+        raise NotImplementedError
+
+    def gather(self, cluster: LiveKeraCluster, plan: RecoveryPlan) -> dict[int, list[Run]]:
+        """The ordered runs each target leader must ingest."""
+        raise NotImplementedError
+
+    def abandon(self, cluster: LiveKeraCluster) -> None:
+        """The move failed before its commit: lift what :meth:`fence`
+        set, if the old leader can still serve."""
+
+    def release(self, cluster: LiveKeraCluster) -> None:
+        """Routing is committed: let go of the copy that was read."""
+
+
+class BackupSource(MoveSource):
+    """A dead node, read back from the surviving backups' copies of its
+    virtual segments."""
+
+    def __init__(self, failed_broker: int, lanes: list[RecoveryLane]) -> None:
+        self.failed_broker = failed_broker
+        self.lanes = lanes  # the timed read lanes are recorded here
+        #: Backups that contributed at least one virtual segment.
+        self.backups_read = 0
+        self.vsegs_merged = 0
+
+    def _surviving_backups(self, cluster: LiveKeraCluster) -> list[int]:
+        return [
+            node
+            for node in sorted(cluster.backups)
+            if node != self.failed_broker and not cluster.is_failed(node)
+        ]
+
+    def fence(self, cluster: LiveKeraCluster) -> None:
+        cluster.fence_node(self.failed_broker)
+        copies = cluster.config.replication.num_backup_copies
+        candidates = len(cluster.live_broker_ids) - 1
+        if copies and candidates < copies:
+            # Typed refusal: recovering would silently under-replicate.
+            raise ReplicationError(
+                f"cluster too small after losing node {self.failed_broker}: "
+                f"need {copies} backups per broker, have {candidates} candidates"
             )
-            outcome = broker.handle_produce(request)
-            cluster.pump_replication(target)
-            report.chunks_recovered += len(outcome.new_chunks)
-            report.records_recovered += outcome.new_records
-            report.duplicates_dropped += outcome.duplicates
+        # Survivors swap the dead node out of their virtual segments and
+        # re-ship the durable prefixes to the replacements.
+        cluster.repair_backups_for(self.failed_broker)
 
-    # The recovered broker's backup data is no longer needed. Routed
-    # through the cluster accessor so process-hosted backups drop over
-    # their transport.
-    for node in sorted(cluster.backups):
-        if node != failed_broker:
-            cluster.backup_drop_broker(node, failed_broker)
+    def gather(self, cluster: LiveKeraCluster, plan: RecoveryPlan) -> dict[int, list[Run]]:
+        leaders = sorted(set(plan.reassignments.values()))
+        backups = self._surviving_backups(cluster)
+        # One read lane per (new leader, surviving backup) — RAMCloud's
+        # partitioned recovery read: each lane pulls that backup's
+        # virtual segments for the dead broker and keeps the chunks its
+        # leader will own, preserving vseg structure (a filtered prefix
+        # is still a prefix, so the merge's consistency check holds on
+        # the filtered runs).
+        copies: dict[tuple[int, int], list[Run]] = {}
+
+        def read(lane: RecoveryLane) -> None:
+            # Through the cluster accessor, so a backup in another
+            # address space answers over its transport.
+            run = cluster.backup_recovery_chunks(lane.backup, self.failed_broker)
+            mine: list[Run] = []
+            for vseg_id, chunks in run:
+                kept = [
+                    c
+                    for c in chunks
+                    if plan.reassignments.get((c.stream_id, c.streamlet_id))
+                    == lane.leader
+                ]
+                if kept:
+                    mine.append((vseg_id, kept))
+            lane.vsegs = len(mine)
+            lane.chunks = sum(len(chunks) for _, chunks in mine)
+            copies[(lane.leader, lane.backup)] = mine
+
+        read_lanes = [
+            RecoveryLane(leader=leader, backup=backup, phase="read")
+            for leader in leaders
+            for backup in backups
+        ]
+        self.lanes.extend(read_lanes)
+        _run_lanes(read_lanes, read)  # each read is bounded by its RPC timeout
+        self.backups_read = sum(
+            1 for backup in backups if any(copies[(ld, backup)] for ld in leaders)
+        )
+        # Merge each leader's copies: longest prefix wins, repair echoes
+        # collapsed.
+        by_leader: dict[int, list[Run]] = {}
+        vsegs: set[int] = set()
+        for leader in leaders:
+            merged = merge_backup_copies([copies[(leader, b)] for b in backups])
+            vsegs.update(vseg_id for vseg_id, _ in merged)
+            if merged:
+                by_leader[leader] = merged
+        self.vsegs_merged = len(vsegs)
+        return by_leader
+
+    def release(self, cluster: LiveKeraCluster) -> None:
+        for node in self._surviving_backups(cluster):
+            cluster.backup_drop_broker(node, self.failed_broker)
+
+
+def move_streamlets(
+    cluster: LiveKeraCluster,
+    plan: RecoveryPlan,
+    source: MoveSource,
+    *,
+    replay_timeout: float = 30.0,
+    lanes: list[RecoveryLane] | None = None,
+) -> list[RecoveryLane]:
+    """Move ``plan``'s streamlets to their new leaders (module docstring)
+    and return the replay lanes, which hold the counts.
+
+    ``plan`` must have deferred routing: the catalog flips here, after
+    every replay lane finished. A lane that failed, or is still running
+    after ``replay_timeout``, raises (typed) with routing untouched —
+    committing then would re-route retries ahead of the prefix the lane
+    is still replaying. Replay lanes are also appended to ``lanes``.
+    """
+    if lanes is None:
+        lanes = []
+    source.fence(cluster)
+    try:
+        # A node that led nothing has nothing to read: fencing was the move.
+        by_target = source.gather(cluster, plan) if plan.reassignments else {}
+        for (stream_id, streamlet_id), target in plan.reassignments.items():
+            cluster.brokers[target].ensure_streamlet(stream_id, streamlet_id)
+            # A streamlet moving back to a node it once left.
+            cluster.broker_service(target).unfence_streamlet(stream_id, streamlet_id)
+        # One replay lane per target leader, in parallel — a (stream,
+        # streamlet, producer) sequence lives entirely within one
+        # streamlet, hence one leader, so cross-leader order is free.
+        replay_lanes = [
+            RecoveryLane(leader=target, backup=-1, phase="replay")
+            for target in sorted(by_target)
+        ]
+        lanes.extend(replay_lanes)
+        _run_lanes(
+            replay_lanes,
+            lambda lane: replay_runs(cluster, lane, by_target[lane.leader]),
+            replay_timeout,
+        )
+        cluster.coordinator.commit_recovery(plan)
+    except BaseException:
+        source.abandon(cluster)
+        raise
+    source.release(cluster)
+    return replay_lanes
+
+
+# -- callers: crash recovery, restart -----------------------------------------------------
+
+
+@dataclass
+class RecoveryReport:
+    """What a recovery pass did."""
+
+    failed_broker: int
+    vsegs_merged: int = 0
+    chunks_recovered: int = 0
+    records_recovered: int = 0
+    duplicates_dropped: int = 0
+    #: (stream, streamlet) -> new leader, as executed.
+    reassignments: dict[tuple[int, int], int] = field(default_factory=dict)
+    #: How many backups contributed at least one virtual segment.
+    backups_read: int = 0
+    #: Every read and replay lane, timed.
+    lanes: list[RecoveryLane] = field(default_factory=list)
+
+
+def recover_broker(
+    cluster: LiveKeraCluster,
+    failed_broker: int,
+    *,
+    replay_timeout: float = 30.0,
+    report: RecoveryReport | None = None,
+) -> RecoveryReport:
+    """Recover one crashed broker, on any live driver: the coordinator
+    spreads its streamlets over the survivors and :func:`move_streamlets`
+    re-ingests them from the backups. Raises typed (``ReplicationError``
+    for a cluster too small to keep the copy count, ``RecoveryError``
+    for replica divergence or a stalled lane) with routing uncommitted;
+    a caller-supplied ``report`` then still holds the plan and the lanes
+    run so far."""
+    report = report or RecoveryReport(failed_broker=failed_broker)
+    plan = cluster.coordinator.plan_recovery(failed_broker, defer_routing=True)
+    report.reassignments = dict(plan.reassignments)
+    source = BackupSource(failed_broker, report.lanes)
+    replayed = move_streamlets(
+        cluster, plan, source, replay_timeout=replay_timeout, lanes=report.lanes
+    )
+    report.vsegs_merged = source.vsegs_merged
+    report.backups_read = source.backups_read
+    report.duplicates_dropped = sum(lane.duplicates for lane in replayed)
+    report.chunks_recovered = sum(lane.chunks - lane.duplicates for lane in replayed)
+    report.records_recovered = sum(lane.records for lane in replayed)
     return report
 
 
@@ -205,9 +431,9 @@ def restore_cluster_from_disk(
        segment id exactly as live recovery merges them — with R >= 2 a
        backup that lost its unsynced tail is healed by a replica that
        fsynced further.
-    3. Chunks are replayed in virtual-log order through the ordinary
-       client produce path, so they land on the new leaders, re-replicate,
-       and re-persist under the new incarnation's epoch. Exactly-once
+    3. Chunks are replayed in virtual-log order (:func:`replay_runs`)
+       into the leaders the new catalog names, so they re-replicate and
+       re-persist under the new incarnation's epoch. Exactly-once
        de-duplication drops chunks that reached several prior virtual
        logs (repair migration), keeping the replay idempotent.
     4. With ``retire=True`` the replay is fsynced and the consumed epoch
@@ -228,6 +454,7 @@ def restore_cluster_from_disk(
     prior_brokers = sorted(
         {broker for node in nodes for broker in cluster.backup_loaded_brokers(node)}
     )
+    replayed: dict[int, RecoveryLane] = {}
     for failed_broker in prior_brokers:
         copies = []
         for node in nodes:
@@ -237,23 +464,20 @@ def restore_cluster_from_disk(
         merged = merge_backup_copies(copies)
         report.vsegs_merged += len(merged)
         report.brokers_restored.append(failed_broker)
-        for _, chunks in merged:
-            responses = cluster.produce(chunks, producer_id=0)
-            # produce() groups chunks by leader and answers in sorted
-            # broker order; rebuild that grouping to pair each assignment
-            # with its chunk for duplicate/record accounting.
-            by_broker: dict[int, list[Chunk]] = defaultdict(list)
+        for vseg_id, chunks in merged:
+            by_leader: dict[int, list[Chunk]] = {}
             for chunk in chunks:
                 leader = cluster.leader_of(chunk.stream_id, chunk.streamlet_id)
-                by_broker[leader].append(chunk)
-            for response, broker_id in zip(responses, sorted(by_broker), strict=True):
-                sent = by_broker[broker_id]
-                for assignment, chunk in zip(response.assignments, sent, strict=True):
-                    if assignment.duplicate:
-                        report.duplicates_dropped += 1
-                    else:
-                        report.chunks_replayed += 1
-                        report.records_restored += chunk.record_count
+                by_leader.setdefault(leader, []).append(chunk)
+            for leader, kept in by_leader.items():
+                lane = replayed.setdefault(
+                    leader, RecoveryLane(leader=leader, backup=-1, phase="replay")
+                )
+                replay_runs(cluster, lane, [(vseg_id, kept)])
+    lanes = replayed.values()
+    report.duplicates_dropped = sum(lane.duplicates for lane in lanes)
+    report.chunks_replayed = sum(lane.chunks - lane.duplicates for lane in lanes)
+    report.records_restored = sum(lane.records for lane in lanes)
 
     if retire:
         # Only drop the consumed generation once the replay itself is on

@@ -20,8 +20,8 @@ every backup → wait → complete) with a pipeline:
 Ack callbacks run on transport threads (worker or reaper); batch
 completion is safe there because the broker core serializes all
 structural mutation behind its reentrant mutex. A failed RPC or a ship to
-a crashed node surfaces on :attr:`PipelinedShipper.error` exactly like
-the old shipper, and parked produce handlers report it.
+a crashed node surfaces on :attr:`PipelinedShipper.error`, and every
+produce still waiting on this broker is failed with it.
 
 ``stop()`` drains: the thread keeps collecting and shipping until nothing
 is unshipped and no batch is in flight (bounded by a drain deadline), so
@@ -94,10 +94,10 @@ class PipelinedShipper(threading.Thread):
         self._wake.set()
 
     def halt(self, error: BaseException) -> None:
-        """Stop shipping *without* draining and without failing parked
-        produces (the failover plane fences a dead broker's shipper and
-        fails its in-flight produces itself, with a typed routing error
-        clients can retry on)."""
+        """Stop shipping *without* draining and without failing the
+        in-flight produces (the cluster fences a dead broker's shipper
+        and fails its in-flight produces itself, with a typed routing
+        error clients can retry on)."""
         if self.error is None:
             self.error = error
         self._wake.set()
@@ -135,8 +135,7 @@ class PipelinedShipper(threading.Thread):
                 self._fail(exc)
                 return
             # Housekeeping for completion-driven produces: expire any
-            # async submissions past their ack deadline (the analogue of
-            # a parked handler's Event.wait timing out).
+            # submissions past their ack deadline.
             self.cluster._sweep_async_produces(self.broker_id)
             if draining and (self._drained() or time.monotonic() >= self._drain_deadline):
                 return
@@ -317,7 +316,6 @@ class PipelinedShipper(threading.Thread):
             first = True
         self._wake.set()
         if first:
-            # Parked handlers see self.error when their wait expires;
-            # completion-driven produces have no thread to wake, so fail
-            # them eagerly.
+            # Completion-driven produces have no thread to wake, so
+            # fail them eagerly.
             self.cluster._on_shipper_error(self.broker_id, error)

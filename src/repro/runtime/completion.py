@@ -4,17 +4,17 @@ A broker core acknowledges a produce request by calling its
 ``on_request_complete(request_id)`` callback once every chunk of the
 request is durable. When and *where* that callback fires depends on the
 transport: at the same simulated instant a replication batch completes,
-inline during a synchronous pump, or on a shipper thread while the
-request handler is parked on another thread. This tracker absorbs all
-three:
+inline during a synchronous pump, or on a transport thread delivering a
+backup's ack to the shipper. This tracker absorbs all three:
 
-* drivers register a waiter (a zero-argument callable — an event's
-  ``succeed``/``set``) per ``(node, request_id)``;
+* drivers register a waiter (a zero-argument callable — a sim event's
+  ``succeed``, a live produce's completion) per ``(node, request_id)``;
 * completions that arrive *before* the waiter registers are remembered,
-  so the handler that parks after kicking off replication never misses
+  so a caller that registers after kicking off replication never misses
   its own ack (in the simulator this happens whenever replication
-  finishes within the produce call's own instant; in the threaded mode
-  whenever the shipper wins the race).
+  finishes within the produce call's own instant; on the synchronous
+  driver on every call; in the threaded modes whenever the shipper wins
+  the race).
 
 All methods are thread-safe; waiters are invoked outside the lock.
 """
@@ -66,16 +66,6 @@ class CompletionTracker:
                 self._early.discard(key)
                 return True
             self._waiters[key] = waiter
-            return False
-
-    def consume(self, node_id: int, request_id: int) -> bool:
-        """Poll-and-clear for synchronous drivers: did the request
-        complete (without a registered waiter)?"""
-        key = (node_id, request_id)
-        with self._lock:
-            if key in self._early:
-                self._early.discard(key)
-                return True
             return False
 
     def discard(self, node_id: int, request_id: int) -> None:

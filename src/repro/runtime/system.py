@@ -134,20 +134,29 @@ class KeraSystem(SystemAdapter):
         self, broker_id: int, send: Callable[[int, Any], Any]
     ) -> int:
         """Synchronously ship every ready batch of a broker until nothing
-        is left: the drive loop of the live drivers (inproc produce path,
-        threaded shipper, recovery re-pumps). ``send(backup_node,
-        request)`` delivers one replicate RPC; batch completion fires the
-        durability callbacks."""
+        is left: the synchronous driver's replication kick. ``send(
+        backup_node, request)`` delivers one replicate RPC; batch
+        completion fires the durability callbacks. A failed ``send``
+        un-issues the batch it was shipping and every batch collected
+        with it, so a retry re-collects them instead of parking behind
+        acks nothing will ever deliver."""
         core = self.broker_cores[broker_id]
         shipped = 0
         while True:
             batches = core.collect_batches()
             if not batches:
                 return shipped
-            for batch in batches:
-                request = self.replicate_request(broker_id, batch)
-                for backup_node in batch.backups:
-                    send(backup_node, request)
+            for index, batch in enumerate(batches):
+                try:
+                    request = self.replicate_request(broker_id, batch)
+                    for backup_node in batch.backups:
+                        send(backup_node, request)
+                except BaseException:
+                    # Newest first: aborting a batch also drops the later
+                    # ones of its virtual log.
+                    for issued in reversed(batches[index:]):
+                        core.abort_batch(issued)
+                    raise
                 core.complete_batch(batch)
                 shipped += 1
 

@@ -154,3 +154,44 @@ def test_pipelined_shipper_surface_pinned(analyze):
         "PipelinedShipper.stop" in f.message and "drifted" in f.message
         for f in findings
     )
+
+
+def test_move_entry_points_pinned_by_function_name(analyze):
+    findings = analyze(
+        {
+            "mod.py": """
+            def migrate_streamlet(cluster, stream_id, streamlet_id, target): ...
+
+            def move_streamlets(cluster, plan, *, replay_timeout=30.0): ...
+
+            def replay_runs(cluster, lane, runs): ...
+            """
+        },
+        rules=["A003"],
+    )
+    drifted = [f for f in findings if "move_streamlets" in f.message]
+    assert drifted and "positional parameters" in drifted[0].message
+    assert any("lanes" in f.message for f in drifted)
+    assert not any("migrate_streamlet" in f.message for f in findings)
+    assert not any("replay_runs" in f.message for f in findings)
+
+
+def test_broker_service_surface_pinned(analyze):
+    findings = analyze(
+        {
+            "mod.py": """
+            class BrokerService:
+                def handle(self, method, request): ...
+                def fence(self): ...
+                def fence_streamlet(self, streamlet_id): ...
+            """
+        },
+        rules=["A003"],
+    )
+    assert any(
+        "BrokerService.fence_streamlet" in f.message and "drifted" in f.message
+        for f in findings
+    )
+    assert any(
+        "unfence_streamlet" in f.message and "missing" in f.message for f in findings
+    )

@@ -15,8 +15,7 @@ from repro.failover import FailoverPlane
 from repro.failover.chaos import _fetch_all_values, kill_node
 from repro.replication.config import ReplicationConfig
 from repro.storage.config import StorageConfig
-from repro.kera import KeraConfig, ThreadedKeraCluster
-from repro.kera.messages import ProduceRequest
+from repro.kera import KeraConfig, ThreadedKeraCluster, migrate_streamlet
 from repro.wire.chunk import ChunkBuilder
 from repro.wire.record import Record, encode_records
 
@@ -43,7 +42,7 @@ def _chunk(stream_id, streamlet_id, producer_id, seq, text):
     return builder.build(seq)
 
 
-def test_kill_during_migration_stays_exactly_once():
+def test_kill_during_migration_stays_exactly_once(monkeypatch):
     """The worst interleave: a streamlet's data has been copied to a
     migration target but leadership has NOT flipped when the source dies.
     Recovery replays the backups into the new leader; wherever that
@@ -60,25 +59,25 @@ def test_kill_during_migration_stays_exactly_once():
                     [_chunk(10, sid, 77, seq, f"m-{seq}")], producer_id=77
                 )
 
-            # Migration, interrupted: register + copy done, flip not.
+            # The real move machine, interrupted between replay and
+            # commit: fence, copy and replay ran, the flip did not.
             target = next(
                 b for b in cluster.live_broker_ids if b != victim
             )
-            cluster.brokers[target].ensure_streamlet(10, sid)
-            source_streamlet = (
-                cluster.brokers[victim].registry.get(10).streamlet(sid)
-            )
-            copied = [s.to_wire_chunk() for s in source_streamlet.chunks()]
-            assert len(copied) == n
-            request = ProduceRequest(
-                request_id=cluster._next_request_id(),
-                producer_id=77,
-                chunks=copied,
-            )
-            cluster.transport.call(
-                -1, target, "broker", "produce", request, request.payload_bytes()
-            )
+
+            def interrupted(plan):
+                raise RuntimeError("interrupted before the flip")
+
+            with monkeypatch.context() as patch:
+                patch.setattr(cluster.coordinator, "commit_recovery", interrupted)
+                with pytest.raises(RuntimeError, match="before the flip"):
+                    migrate_streamlet(cluster, 10, sid, target)
+            copied = cluster.brokers[target].registry.get(10).streamlet(sid)
+            assert copied.record_count == n
             assert cluster.leader_of(10, sid) == victim  # flip never happened
+            # The abandoned move lifted its fence: the source serves on.
+            cluster.produce([_chunk(10, sid, 77, n, f"m-{n}")], producer_id=77)
+            n += 1
 
             kill_node(cluster, victim)
             report = plane.wait_recovered(victim, timeout=15.0)
@@ -87,7 +86,7 @@ def test_kill_during_migration_stays_exactly_once():
             assert new_leader != victim
             if new_leader == target:
                 # Replay landed on the migrated copy: dedup absorbed it.
-                assert report.duplicates_dropped >= n
+                assert report.duplicates_dropped >= n - 1
 
             values = _fetch_all_values(cluster, 10, 4)
             mine = [v for v in values if v.startswith(b"m-")]
@@ -115,7 +114,7 @@ def test_kill_of_broker_leading_nothing_is_fence_only():
             report = plane.wait_recovered(victim, timeout=15.0)
             assert report is not None and report.error is None
             assert report.reassignments == {}
-            assert report.chunks_replayed == 0
+            assert report.chunks_recovered == 0
             assert report.lanes == []
             # The cluster keeps serving with one fewer backup target.
             cluster.produce(

@@ -12,7 +12,7 @@ import threading
 
 import pytest
 
-from repro.common.errors import NotLeaderError, RpcError
+from repro.common.errors import NotLeaderError, RecoveryError, RpcError
 from repro.common.units import KB
 from repro.failover import FailoverPlane
 from repro.failover.chaos import kill_node, run_chaos
@@ -144,19 +144,19 @@ def test_fenced_broker_refuses_with_new_leader_after_commit():
             new_leader = cluster.leader_of(4, 0)
             # A stale client that still routes to the fenced broker gets
             # the committed leader in the typed refusal.
-            from repro.kera.messages import ProduceRequest
+            errors = []
+            done = threading.Event()
 
-            request = ProduceRequest(
-                request_id=cluster._next_request_id(),
-                producer_id=60,
-                chunks=[_chunk(4, 0, 60, 1, "stale-route")],
+            def on_complete(response, error):
+                errors.append(error)
+                done.set()
+
+            cluster.submit_produce(
+                victim, [_chunk(4, 0, 60, 1, "stale-route")], 60, on_complete
             )
-            with pytest.raises(NotLeaderError) as excinfo:
-                cluster.transport.call(
-                    -1, victim, "broker", "produce", request,
-                    request.payload_bytes(),
-                )
-            assert excinfo.value.leader == new_leader
+            assert done.wait(5.0)
+            assert isinstance(errors[0], NotLeaderError)
+            assert errors[0].leader == new_leader
             # The fenced broker's ping also fails typed (lease path).
             with pytest.raises(RpcError):
                 cluster.transport.call(-1, victim, "broker", "ping", None, 0)
@@ -174,7 +174,7 @@ def test_retry_after_recovery_is_deduplicated():
             kill_node(cluster, victim)
             report = plane.wait_recovered(victim, timeout=15.0)
             assert report is not None and report.error is None
-            assert report.chunks_replayed >= 1
+            assert report.chunks_recovered >= 1
             # The client never saw the ack land (say) — it retries the
             # same chunk against the new leader.
             (response,) = cluster.produce([chunk], producer_id=70)
@@ -200,8 +200,8 @@ def test_recovery_report_counts_match_replay():
             kill_node(cluster, victim)
             report = plane.wait_recovered(victim, timeout=15.0)
             assert report is not None and report.error is None
-            assert report.chunks_replayed == n
-            assert report.records_replayed == n
+            assert report.chunks_recovered == n
+            assert report.records_recovered == n
             assert report.vsegs_merged >= 1
             read_lanes = [ln for ln in report.lanes if ln.phase == "read"]
             replay_lanes = [ln for ln in report.lanes if ln.phase == "replay"]
@@ -209,6 +209,42 @@ def test_recovery_report_counts_match_replay():
             assert sum(ln.chunks for ln in replay_lanes) == n
             for lane in report.lanes:
                 assert lane.finished >= lane.started > 0.0
+
+
+def test_replay_lane_outliving_timeout_refuses_to_commit(monkeypatch):
+    """A replay lane that is still running when ``replay_timeout``
+    expires must fail recovery typed and leave routing alone: flipping
+    the catalog then would send retries ahead of the prefix the lane is
+    still replaying."""
+    with ThreadedKeraCluster(_config()) as cluster:
+        with FailoverPlane(
+            cluster, heartbeat_interval=0.05, replay_timeout=0.2
+        ) as plane:
+            cluster.create_stream(13, 4)
+            victim = cluster.leader_of(13, 0)
+            cluster.produce([_chunk(13, 0, 55, 0, "seed")], producer_id=55)
+            # Stall every survivor's append: the replay produce hangs.
+            release = threading.Event()
+            for node, core in cluster.brokers.items():
+                if node == victim:
+                    continue
+
+                def stalled(request, real=core.handle_produce):
+                    release.wait(10.0)
+                    return real(request)
+
+                monkeypatch.setattr(core, "handle_produce", stalled)
+            try:
+                kill_node(cluster, victim)
+                report = plane.wait_recovered(victim, timeout=15.0)
+                assert report is not None
+                assert isinstance(report.error, RecoveryError)
+                assert "still running" in str(report.error)
+                assert cluster.leader_of(13, 0) == victim  # never flipped
+                stuck = [ln for ln in report.lanes if ln.phase == "replay"]
+                assert stuck and all(ln.finished == 0.0 for ln in stuck)
+            finally:
+                release.set()
 
 
 def test_replicate_error_path_claims_node_and_recovers():

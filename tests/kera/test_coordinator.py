@@ -44,7 +44,7 @@ def test_recovery_plan_reassigns_to_survivors():
     coord.create_stream(0, 8)
     before = coord.partitions_on(1)
     plan = coord.plan_recovery(1)
-    assert plan.failed_broker == 1
+    assert plan.source == 1
     assert plan.survivors == [0, 2, 3]
     assert set(plan.reassignments) == set(before)
     for (stream, sid), target in plan.reassignments.items():
@@ -98,3 +98,37 @@ def test_default_recovery_commits_immediately():
     assert coord.partitions_on(1) == []
     for (stream, sid), target in plan.reassignments.items():
         assert coord.stream(stream).leaders[sid] == target
+
+
+def test_migration_plan_defers_routing_and_validates():
+    coord = Coordinator([0, 1, 2, 3])
+    coord.create_stream(0, 4)
+    source = coord.stream(0).leaders[2]
+    target = (source + 1) % 4
+    plan = coord.plan_migration(0, 2, target)
+    assert plan.source == source
+    assert plan.reassignments == {(0, 2): target}
+    assert coord.stream(0).leaders[2] == source  # until the commit
+    coord.commit_recovery(plan)
+    assert coord.stream(0).leaders[2] == target
+    with pytest.raises(StorageError):
+        coord.plan_migration(0, 2, target)  # already there
+    with pytest.raises(StorageError):
+        coord.plan_migration(0, 9, 0)  # no such streamlet
+    with pytest.raises(StorageError):
+        coord.plan_migration(0, 2, 7)  # no such broker
+
+
+def test_commit_refused_when_another_move_rerouted_the_streamlet():
+    """Two moves of one streamlet (its leader dies mid-migration): the
+    second commit must not override the first — the first target may
+    already hold acked writes the second lacks."""
+    coord = Coordinator([0, 1, 2, 3])
+    coord.create_stream(0, 4)
+    victim = coord.stream(0).leaders[1]
+    migration = coord.plan_migration(0, 1, (victim + 1) % 4)
+    recovery = coord.plan_recovery(victim, defer_routing=True)
+    coord.commit_recovery(migration)
+    with pytest.raises(RecoveryError, match="under the move"):
+        coord.commit_recovery(recovery)
+    assert coord.stream(0).leaders[1] == (victim + 1) % 4

@@ -110,8 +110,9 @@ def test_inproc_inflight_duplicate_waits_for_original():
     responses = cluster.produce([chunk], producer_id=0)
     assert responses[0].assignments[0].duplicate
     assert broker.pending_requests() == 0
-    # The original's ack fired into the tracker during the same pump.
-    assert cluster.runtime.completion.consume(leader, rid)
+    # The original's ack fired into the tracker during the same pump:
+    # registering for it now reports it already complete.
+    assert cluster.runtime.completion.register(leader, rid, lambda: None)
 
     values = [r.value for r in KeraConsumer(cluster, 0, [0]).drain()]
     assert values == [f"r{i}".encode() for i in range(5)]

@@ -1,5 +1,7 @@
 """BufferPool rental discipline: no leaks on producer exception paths."""
 
+import time
+
 import pytest
 
 from repro.common.errors import ReplicationError, WireFormatError
@@ -66,10 +68,18 @@ def test_failed_produce_leaks_nothing():
             producer.flush()
         # The unsent chunks were put back for a retry...
         assert producer._ready
-        # ...and close on the error path still returns every buffer.
+        # ...and close on the error path still returns every buffer. Its
+        # retry of the same chunks fails at once with the typed error: the
+        # failed pump un-issued its batch, so the retry re-ships (and
+        # fails again) instead of waiting out the ack timeout behind a
+        # batch nobody will complete.
+        started = time.monotonic()
         with pytest.raises(ReplicationError):
             producer.close()
+        assert time.monotonic() - started < 1.0
         assert producer.pool.rented == 0
+        for broker in cluster.brokers.values():
+            assert not any(vlog.in_flight for vlog in broker.manager.vlogs)
 
 
 def test_context_manager_returns_buffers_on_error():

@@ -24,23 +24,26 @@ def test_complete_before_register_is_remembered():
     # register() reports the early completion and does NOT store the waiter.
     assert tracker.register(3, 11, lambda: fired.append(11))
     assert fired == []
-    # The early mark was consumed by register().
-    assert not tracker.consume(3, 11)
+    # The early mark was consumed by register(): a second register parks.
+    assert not tracker.register(3, 11, lambda: fired.append(11))
 
 
-def test_consume_polls_and_clears():
+def test_discard_forgets_waiter_and_early_mark():
     tracker = CompletionTracker()
-    assert not tracker.consume(1, 1)
-    tracker.complete(1, 1)
-    assert tracker.consume(1, 1)
-    assert not tracker.consume(1, 1)
+    fired = []
+    tracker.register(1, 1, lambda: fired.append(1))
+    tracker.discard(1, 1)
+    tracker.complete(1, 1)  # no waiter left: remembered as early...
+    assert fired == []
+    tracker.discard(1, 1)  # ...until discarded too
+    assert not tracker.register(1, 1, lambda: fired.append(1))
 
 
 def test_callback_for_binds_node():
     tracker = CompletionTracker()
     tracker.callback_for(5)(42)
-    assert tracker.consume(5, 42)
-    assert not tracker.consume(4, 42)  # other nodes unaffected
+    assert not tracker.register(4, 42, lambda: None)  # other nodes unaffected
+    assert tracker.register(5, 42, lambda: None)
 
 
 def test_same_request_id_on_different_nodes_independent():
