@@ -1,6 +1,6 @@
 """Live-mode throughput: threaded concurrent cluster vs synchronous inproc.
 
-Unlike the ``bench_figNN`` modules this bench runs no simulation: real
+Unlike ``bench_figures`` this bench runs no simulation: real
 producer threads push real bytes through :class:`ThreadedKeraCluster`'s
 worker-thread brokers (replication factor 3) and the wall-clock ack
 throughput is compared against the single-threaded synchronous driver on

@@ -1,6 +1,6 @@
 """Benchmark-suite plumbing.
 
-Each ``bench_figNN`` module runs one paper figure through the discrete-
+Each ``bench_figures`` case runs one paper figure through the discrete-
 event harness (timed once by pytest-benchmark) and registers the series
 with the session reporter; the tables are printed in the terminal summary
 and saved to ``benchmarks/results/figures.json`` for EXPERIMENTS.md.

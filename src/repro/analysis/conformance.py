@@ -14,9 +14,10 @@ here:
   pipelined replication plane widened ``Transport`` with ``call_async``
   and ``credit``, both specced here so concurrent transports cannot
   drift from the shipper's calling convention;
-* the ``PipelinedShipper`` driver surface (``kick``/``stop``/
-  ``in_flight_batches``) keeps its zero-argument shape — cluster
-  drivers and drain paths poke the shipper through exactly these;
+* the ``PipelinedShipper`` driver surface (``kick``/``pump``/``stop``/
+  ``in_flight_batches``) keeps its zero-argument shape — the cluster,
+  its drain path and single-stepping tests drive the one ship loop
+  through exactly these;
 * the ``WorkerTransport`` surface (also under its ``SocketTransport``
   name) — the Transport methods plus the ``listen_address`` /
   ``connection_count`` / ``worker_pid`` operator entry points that
@@ -107,6 +108,9 @@ PROTOCOLS: dict[str, dict[str, MethodSpec]] = {
     # spec holds them still even though the class derives only Thread.
     "PipelinedShipper": {
         "kick": MethodSpec(()),
+        # One turn of the ship loop: what `kick` runs inline on a driver
+        # that starts no shipper thread, and what the thread runs.
+        "pump": MethodSpec(()),
         "stop": MethodSpec(()),
         "in_flight_batches": MethodSpec(()),
     },
@@ -125,6 +129,10 @@ PROTOCOLS: dict[str, dict[str, MethodSpec]] = {
             ("broker_id", "chunks", "producer_id", "on_complete"),
             kwonly=("on_append",),
         ),
+        # The one ship loop per broker (benchmarks sample it) and the one
+        # repair sender, which recovery reaches on every driver.
+        "shipper": MethodSpec(("broker_id",)),
+        "repair_backups_for": MethodSpec(("failed_node",)),
         # The backup operator surface: recovery, restart and the failover
         # plane reach every driver's backups through exactly these, and
         # each is one call on the node's "backup" binding — written once,

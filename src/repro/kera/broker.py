@@ -277,12 +277,6 @@ class KeraBrokerCore:
         with self._mutex:
             self.manager.abort_batch(batch)
 
-    def unshipped_chunks(self) -> int:
-        """References not yet placed in any batch (the shipper's linger
-        decision reads this to size its consolidation window)."""
-        with self._mutex:
-            return self.manager.unshipped_chunks()
-
     # -- fetch path ----------------------------------------------------------------
 
     def handle_fetch(self, request: FetchRequest) -> FetchResponse:
@@ -388,7 +382,10 @@ class KeraBrokerCore:
             return len(self._request_remaining)
 
     def pending_chunks(self) -> int:
-        return self.manager.pending_chunks()
+        """Chunks appended but not yet durable (a draining shipper polls
+        this from its own thread, hence the mutex)."""
+        with self._mutex:
+            return self.manager.pending_chunks()
 
     def inflight_chunks(self, stream_id: int, streamlet_id: int) -> int:
         """Chunks of one streamlet appended but not yet durable (a

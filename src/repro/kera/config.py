@@ -40,9 +40,6 @@ class KeraConfig:
     #: memory/disk migration are configured on the replication config
     #: (``fsync_policy`` / ``spill_sealed``).
     persist_dir: str | None = None
-    #: Backward-compatible alias for ``persist_dir`` (earlier revisions'
-    #: name); ``persist_dir`` wins when both are set.
-    disk_dir: str | None = None
     #: Per-broker byte budget for the shared hot-chunk fan-out cache on
     #: the view-serving read path (``repro.storage.fancache``).
     fanout_cache_bytes: int = 64 * MB
@@ -61,8 +58,3 @@ class KeraConfig:
             raise ConfigError("linger must be >= 0")
         if self.fanout_cache_bytes <= 0:
             raise ConfigError("fanout_cache_bytes must be positive")
-
-    @property
-    def storage_dir(self) -> str | None:
-        """The effective secondary-storage root (``persist_dir`` wins)."""
-        return self.persist_dir if self.persist_dir is not None else self.disk_dir

@@ -8,11 +8,13 @@ integration tests and examples; performance questions go to
 :mod:`repro.kera.cluster_sim`, concurrency questions to
 :mod:`repro.kera.threaded`.
 
-The cluster assembly, the broker service and the produce path live in
-:class:`repro.kera.live.LiveKeraCluster`; this module contributes only
-:class:`repro.runtime.InprocTransport` and inline backup flushes; the
-base cluster's inline replication kick makes a produce durable by the
-time its append call returns.
+The cluster assembly, the broker service, the produce path and the
+replication ship loop live in :class:`repro.kera.live.LiveKeraCluster`;
+this module contributes only :class:`repro.runtime.InprocTransport` and
+inline backup flushes. It starts no thread: the shippers pump on the
+thread that kicks them, and the synchronous transport resolves every
+replicate call before it returns, so a produce is durable by the time
+its append call returns.
 """
 
 from __future__ import annotations

@@ -17,9 +17,12 @@ completes one way: the service appends and kicks replication, and
 thread waits for an ack. The backup side is one
 :class:`~repro.kera.backup_service.BackupService` bound to ``(node,
 "backup")``, so every operator method below is a single
-``transport.call``. A driver contributes its transport, where its
-backups live (:meth:`_backup_binding`) and how replication is kicked
-(:meth:`_kick_replication`).
+``transport.call``. Between them runs one
+:class:`~repro.kera.shipper.PipelinedShipper` per broker — the only
+replication ship loop, repair sender and ship-failure rule there is. A
+driver contributes its transport, where its backups live
+(:meth:`_backup_binding`) and whether it starts the shippers' threads (an
+unstarted shipper pumps on the thread that kicks it).
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from repro.kera.backup import KeraBackupCore
 from repro.kera.backup_service import BackupService
 from repro.kera.broker import KeraBrokerCore
 from repro.kera.config import KeraConfig
+from repro.kera.shipper import PipelinedShipper
 from repro.kera.messages import (
     FetchPosition,
     FetchRequest,
@@ -196,7 +200,10 @@ class BrokerService(LiveService):
             # caller (``submit_produce``) registers with the completion
             # tracker, so nothing waits here for replication acks.
             outcome = self._append(request)
-            self.cluster._kick_replication(self.node_id)
+            # A started shipper is woken; an unstarted one pumps inline, so
+            # on the synchronous driver the request has completed (and the
+            # tracker remembers it) before this outcome returns.
+            self.cluster.shipper(self.node_id).kick()
             return outcome
         if method == "fetch":
             return self.core.handle_fetch(request)
@@ -255,6 +262,9 @@ class LiveKeraCluster:
         # processes close their own): closed after the transport stops.
         self._local_backups: list[BackupService] = []
         self._broker_services: dict[int, BrokerService] = {}
+        self._shippers = {
+            node: PipelinedShipper(self, node) for node in self.system.node_ids
+        }
         self._drain_on_close = True
         # The live failover plane, when installed (repro.failover.plane).
         # The cluster never imports it: the dependency points failover →
@@ -273,13 +283,6 @@ class LiveKeraCluster:
             self.transport.register(
                 node, "backup", self._backup_binding(node), workers=1
             )
-
-    def _kick_replication(self, node_id: int) -> None:
-        """Get a broker's fresh references shipped. The synchronous
-        default pumps inline — the request has completed (and the tracker
-        remembers it) before its outcome returns to ``submit_produce``;
-        shipper-driven clusters wake the node's shipper instead."""
-        self.system.drive_replication(node_id, self._replication_send(node_id))
 
     def _backup_binding(self, node_id: int) -> object:  # pragma: no cover - interface
         """What hosts one node's backup: a :meth:`_local_backup` live
@@ -302,6 +305,10 @@ class LiveKeraCluster:
     @property
     def backups(self) -> dict[int, KeraBackupCore]:
         return self.system.backup_cores
+
+    def shipper(self, broker_id: int) -> PipelinedShipper:
+        """A broker's replication ship loop."""
+        return self._shippers[broker_id]
 
     def _next_request_id(self) -> int:
         with self._id_lock:
@@ -454,12 +461,11 @@ class LiveKeraCluster:
                 # here; the tracker remembered it.
                 self._finish_async(state, state.response, None)
                 return
-            # Register-before-ack: the waiter is parked. If the broker's
-            # shipper died in the window before the registration, no ack
-            # will ever fire — fail now rather than waiting for the sweep.
-            shipper_error = self._shipper_error(broker_id)
-            if shipper_error is not None:
-                self._finish_async(state, None, shipper_error)
+            # Register-before-ack: the waiter is parked. If a ship failure
+            # or a fence already failed this produce, no ack will ever
+            # fire — take the waiter back out.
+            if state.done:
+                self.runtime.completion.discard(broker_id, request.request_id)
 
         try:
             self.transport.call_async(
@@ -526,11 +532,6 @@ class LiveKeraCluster:
         self.runtime.completion.discard(state.broker_id, state.request_id)
         state.on_complete(response, error)
 
-    def _shipper_error(self, broker_id: int) -> BaseException | None:
-        """The broker's replication-shipper failure, if any (concurrent
-        drivers override; the synchronous driver has no shippers)."""
-        return None
-
     def _fail_produces(
         self,
         broker_id: int,
@@ -544,10 +545,12 @@ class LiveKeraCluster:
             if error is not None:
                 self._finish_async(state, None, error)
 
-    def _on_shipper_error(self, broker_id: int, error: BaseException) -> None:
-        """A broker's shipper died: fail every produce waiting on it."""
+    def _on_ship_failure(self, broker_id: int, error: BaseException) -> None:
+        """A broker's replication ship failed and nobody repairs it: fail
+        every produce waiting on that broker, at once and typed (their
+        batches are un-issued; a retry re-ships them)."""
         failure = ReplicationError(
-            f"replication shipper for broker {broker_id} failed: {error!r}"
+            f"replication from broker {broker_id} failed: {error!r}"
         )
         self._fail_produces(broker_id, lambda _state: failure)
 
@@ -569,28 +572,6 @@ class LiveKeraCluster:
         """Async produces submitted but not yet resolved (gauge)."""
         with self._async_lock:
             return sum(len(per) for per in self._async_produces.values())
-
-    # -- replication ------------------------------------------------------------------
-
-    def _replication_send(self, broker_id: int):
-        """The ``send`` effect for :meth:`KeraSystem.drive_replication`:
-        one replicate RPC over the transport, refusing failed nodes."""
-
-        def send(backup_node: int, request) -> None:
-            with self._failed_lock:
-                failed = backup_node in self._failed
-            if failed:
-                raise ReplicationError(f"replication to failed node {backup_node}")
-            self.transport.call(
-                broker_id,
-                backup_node,
-                "backup",
-                "replicate",
-                request,
-                request.payload_bytes(),
-            )
-
-        return send
 
     # -- fetch path ---------------------------------------------------------------------
 
@@ -652,14 +633,12 @@ class LiveKeraCluster:
         with self._failed_lock:
             fresh = node_id not in self._failed
             self._failed.add(node_id)
-        self._fence_broker_service(node_id)
+        self._broker_services[node_id].fence()
+        self._shippers[node_id].halt(
+            ReplicationError(f"broker {node_id} fenced by failover")
+        )
         self._fail_broker_produces(node_id)
         return fresh
-
-    def _fence_broker_service(self, node_id: int) -> None:
-        """Make the node's broker service refuse requests (shipper-driven
-        clusters also halt the node's shipper)."""
-        self._broker_services[node_id].fence()
 
     def broker_service(self, node_id: int) -> BrokerService:
         """A node's broker service (a voluntary move fences one streamlet on it)."""
@@ -677,20 +656,14 @@ class LiveKeraCluster:
     def repair_backups_for(self, failed_node: int) -> None:
         """Restore copy counts after a node loss: every surviving broker
         swaps ``failed_node`` out of its virtual segments and re-ships
-        the durable prefixes to the replacements. The base
-        implementation sends synchronously from the calling thread
-        (inproc); shipper-driven clusters route the repair through each
-        survivor's shipper thread so a backup's per-vseg arrival order
-        always matches one thread's ship order."""
-        for survivor_id, broker in self.brokers.items():
-            if self.is_failed(survivor_id):
-                continue
-            repairs = broker.handle_backup_failure(failed_node)
-            send = self._replication_send(survivor_id)
-            for batch in repairs:
-                request = self.system.replicate_request(survivor_id, batch)
-                for backup_node in batch.backups:
-                    send(backup_node, request)
+        the durable prefixes to the replacements. The repair is queued on
+        each survivor's shipper rather than sent from here: a backup's
+        per-vseg arrival order must match the one ship loop's issue
+        order, or later recovery merges would see interleaved
+        (diverging) runs."""
+        for survivor_id, shipper in self._shippers.items():
+            if not self.is_failed(survivor_id) and shipper.error is None:
+                shipper.repair_node(failed_node)
 
     # -- failure injection -------------------------------------------------------------------
 

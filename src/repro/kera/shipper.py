@@ -1,8 +1,14 @@
-"""The pipelined replication shipper: one thread per broker.
+"""The replication ship loop: one per broker, the same on every driver.
 
-Replaces the strictly synchronous ship loop (collect one batch → send to
-every backup → wait → complete) with a pipeline:
+:class:`PipelinedShipper` is the only code outside the simulator that
+collects a broker's ready batches, builds and sends their replicate
+calls, resolves the acks, returns their credit, repairs after a backup
+loss and decides what a ship failure means. One turn of the loop is
+:meth:`PipelinedShipper.pump`:
 
+* failed flights are un-issued and dead backups repaired around, *then*
+  ``collect_batches()`` runs, again and again until nothing is
+  collectible;
 * batches are issued with :meth:`Transport.call_async` — up to
   ``pipeline_depth`` RPCs per virtual log stay in flight, and acks
   arriving out of order are re-sequenced by the virtual log itself
@@ -10,22 +16,37 @@ every backup → wait → complete) with a pipeline:
   issue order);
 * a :class:`~repro.replication.flow.FlowController` bounds unacked
   payload bytes (``ship_window_bytes``) — the credit-based backpressure
-  that keeps a slow backup from buffering unbounded broker memory;
-* an :class:`~repro.replication.flow.AdaptiveBatcher` decides when to
-  linger (``ship_linger_s``): while appends trickle in below the current
-  consolidation target the shipper waits briefly so the next RPC carries
-  more chunks, and the target itself adapts to demand and to credit
-  refusals.
+  that keeps a slow backup from buffering unbounded broker memory.
 
-Ack callbacks run on transport threads (worker or reaper); batch
-completion is safe there because the broker core serializes all
-structural mutation behind its reentrant mutex. A failed RPC or a ship to
-a crashed node surfaces on :attr:`PipelinedShipper.error`, and every
-produce still waiting on this broker is failed with it.
+Consolidation is by back-pressure, not by a timer: references accumulate
+while a virtual log's slots (or the credit window) are busy, and the
+next batch carries all of them.
 
-``stop()`` drains: the thread keeps collecting and shipping until nothing
-is unshipped and no batch is in flight (bounded by a drain deadline), so
-shutdown under load loses no acks and double-applies none.
+Who calls the pump is the one thing a driver chooses. A started shipper
+pumps on its own thread whenever :meth:`kick`, an ack or a queued repair
+wakes it; a shipper that was never started (the synchronous driver)
+pumps on the kicking thread, and because a synchronous transport
+resolves every flight before ``call_async`` returns, a produce is durable
+by the time its append call returns. Ack callbacks run wherever the
+transport runs them (worker or reader threads; inline on the synchronous
+transport); batch completion is safe there because the broker core
+serializes all structural mutation behind its reentrant mutex.
+
+**A ship failure has one meaning.** A replicate call that fails, a send
+to a failed node, a batch that gets no credit before the drain deadline:
+every batch ``collect_batches()`` hands out is in the flight table before
+anything can fail, so a turn ends with each of them either sent or
+un-issued; the failed batch and its virtual log's later siblings are
+un-issued and their credit returned, and — when no failover plane claims
+the dead backup and repairs around it — the produces waiting on this
+broker fail at once with the typed ``ReplicationError``. The shipper
+*lives*: the next kick collects the same references and ships them
+again. Only a fence (:meth:`halt`) or :meth:`stop` ends a shipper.
+
+``stop()`` drains: the thread keeps collecting and shipping until every
+appended chunk is durable and no batch is in flight (bounded by a drain
+deadline, or by a ship failure nobody repairs), so shutdown under load
+loses no acks and double-applies none.
 """
 
 from __future__ import annotations
@@ -35,7 +56,7 @@ import time
 from typing import TYPE_CHECKING
 
 from repro.common.errors import ReplicationError
-from repro.replication.flow import AdaptiveBatcher, FlowController
+from repro.replication.flow import FlowController
 from repro.replication.virtual_log import ReplicationBatch
 
 if TYPE_CHECKING:
@@ -44,21 +65,27 @@ if TYPE_CHECKING:
 
 
 class _Flight:
-    """One issued batch awaiting acks from its backups."""
+    """One collected batch on its way to its backups."""
 
-    __slots__ = ("batch", "nbytes", "remaining", "resolved")
+    __slots__ = ("batch", "key", "nbytes", "remaining", "failed")
 
-    def __init__(self, batch: ReplicationBatch, nbytes: int, backups: int) -> None:
+    def __init__(self, batch: ReplicationBatch) -> None:
         self.batch = batch
-        self.nbytes = nbytes
-        self.remaining = backups
-        self.resolved = False
+        #: Batch ids are per virtual log.
+        self.key = (batch.vlog_id, batch.batch_id)
+        #: Flow credit held (0 until acquired).
+        self.nbytes = 0
+        self.remaining = len(batch.backups)
+        #: Set once the send or an ack failed. The flight then stays in
+        #: the table until the pump un-issues it.
+        self.failed = False
 
 
 class PipelinedShipper(threading.Thread):
-    """Drains a broker's ready batches to its backups, pipelined."""
+    """Ships a broker's ready batches to its backups, pipelined."""
 
-    #: Idle re-poll period, a safety net should a kick ever be missed.
+    #: Sweep / drain-check period of a started shipper, and the credit
+    #: wait's re-check period.
     _IDLE_POLL = 0.05
     #: How long ``stop()`` keeps draining in-flight work.
     _DRAIN_TIMEOUT = 5.0
@@ -67,26 +94,37 @@ class PipelinedShipper(threading.Thread):
         super().__init__(name=f"kera-shipper-{broker_id}", daemon=True)
         self.cluster = cluster
         self.broker_id = broker_id
-        config = cluster.config.replication
-        self.flow = FlowController(config.ship_window_bytes)
-        self.batcher = AdaptiveBatcher(linger_s=config.ship_linger_s)
+        self.flow = FlowController(cluster.config.replication.ship_window_bytes)
         self._wake = threading.Event()
         self._stopping = threading.Event()
         self._drain_deadline = float("inf")
+        # One pump at a time; reentrant because an ack callback fired
+        # inside an inline pump may submit (and so kick) again.
+        self._pump_lock = threading.RLock()
+        self._pumping = False  # guarded-by: _pump_lock
         self._flights_lock = threading.Lock()
-        self._flights: dict[int, _Flight] = {}  # guarded-by: _flights_lock
-        # Failed flights awaiting backup repair, queued by transport
-        # threads and serviced on this thread (blocking repair RPCs on a
-        # transport callback would deadlock the reaper/reader draining
-        # its own responses). (batch, failed backup node, error) triples;
-        # batch is None for proactive repairs with no failed flight.
-        self._repairs: list[tuple[ReplicationBatch | None, int, BaseException]] = []  # guarded-by: _flights_lock
+        # Every batch collect_batches() handed out, from the moment it is
+        # handed out until its acks are applied or it is un-issued.
+        self._flights: dict[tuple[int, int], _Flight] = {}  # guarded-by: _flights_lock
+        # Work for the next pump turn, queued from any thread. Un-issuing
+        # and repairing run on the pump because they must not interleave
+        # with a collect, and because repair issues blocking credit waits
+        # and RPCs that must not run on a transport callback.
+        # (flight, the backup whose replicate call failed if one did, error)
+        self._failed: list[tuple[_Flight, int | None, BaseException]] = []  # guarded-by: _flights_lock
+        self._dead_nodes: list[int] = []  # guarded-by: _flights_lock
+        #: Why this shipper was halted (its broker was fenced), else None.
         self.error: BaseException | None = None
 
     # -- control --------------------------------------------------------------
 
     def kick(self) -> None:
-        self._wake.set()
+        """Get ready work shipped: wake the shipper's thread, or — never
+        started — pump on this one."""
+        if self.ident is None:
+            self.pump()
+        else:
+            self._wake.set()
 
     def stop(self) -> None:
         self._drain_deadline = time.monotonic() + self._DRAIN_TIMEOUT
@@ -94,10 +132,10 @@ class PipelinedShipper(threading.Thread):
         self._wake.set()
 
     def halt(self, error: BaseException) -> None:
-        """Stop shipping *without* draining and without failing the
-        in-flight produces (the cluster fences a dead broker's shipper
-        and fails its in-flight produces itself, with a typed routing
-        error clients can retry on)."""
+        """Stop shipping for good, *without* draining and without failing
+        the in-flight produces (the cluster fences a dead broker and fails
+        its in-flight produces itself, with a typed routing error clients
+        can retry on)."""
         if self.error is None:
             self.error = error
         self._wake.set()
@@ -107,145 +145,152 @@ class PipelinedShipper(threading.Thread):
             return len(self._flights)
 
     def repair_node(self, node: int) -> None:
-        """Queue proactive repair for a dead backup (any thread): the
-        shipper thread swaps the node out of every affected virtual
-        segment and re-ships durable prefixes. Going through the shipper
-        keeps all of a broker's replicate traffic on one thread, so a
-        backup's per-vseg arrival order matches ship order."""
+        """Queue repair around a dead backup (any thread): the next pump
+        turn swaps the node out of every affected virtual segment and
+        re-ships durable prefixes. Going through the pump keeps all of a
+        broker's replicate traffic in one sequence, so a backup's
+        per-vseg arrival order matches ship order."""
         with self._flights_lock:
-            self._repairs.append(
-                (None, node, ReplicationError(f"backup node {node} failed"))
-            )
-        self._wake.set()
+            self._dead_nodes.append(node)
+        self.kick()
 
-    # -- main loop ------------------------------------------------------------
+    # -- the loop ---------------------------------------------------------------
 
     def run(self) -> None:
-        sleep = self._IDLE_POLL
-        while True:
-            self._wake.wait(timeout=sleep)
-            self._wake.clear()
-            if self.error is not None:
-                return
+        while self.error is None:
+            # Pump when woken (a kick, an ack, a queued repair), never on
+            # the timeout alone: a failed ship is retried when a produce
+            # asks for it, not every 50 ms. The event is cleared only
+            # after a wake-up, so a kick landing after a timeout survives
+            # to the next wait.
+            woken = self._wake.wait(timeout=self._IDLE_POLL)
             draining = self._stopping.is_set()
-            try:
-                self._service_repairs()
-                sleep = self._pump(draining)
-            except BaseException as exc:  # noqa: BLE001 - surfaced to producers
-                self._fail(exc)
-                return
+            if woken:
+                self._wake.clear()
+            shipped = self.pump() if woken or draining else True
             # Housekeeping for completion-driven produces: expire any
             # submissions past their ack deadline.
             self.cluster._sweep_async_produces(self.broker_id)
-            if draining and (self._drained() or time.monotonic() >= self._drain_deadline):
+            if draining and (
+                not shipped
+                or self._drained()
+                or time.monotonic() >= self._drain_deadline
+            ):
                 return
 
     def _drained(self) -> bool:
         with self._flights_lock:
             if self._flights:
                 return False
-        return self.cluster.brokers[self.broker_id].unshipped_chunks() == 0
+        return self.cluster.brokers[self.broker_id].pending_chunks() == 0
 
-    def _pump(self, draining: bool) -> float:
-        core = self.cluster.brokers[self.broker_id]
-        if not draining and self.batcher.linger_s > 0:
-            delay = self.batcher.linger_delay(core.unshipped_chunks(), time.monotonic())
-            if delay > 0:
-                return delay
-        for batch in core.collect_batches():
-            self._issue(core, batch)
-            if self.error is not None:
-                break
-        return self._IDLE_POLL
-
-    def _service_repairs(self) -> None:
-        """Repair after a fenced backup's ship failures (shipper thread).
-
-        Aborts the earliest failed batch per virtual log (the rewind
-        covers its later siblings), swaps the dead node out of every
-        affected virtual segment, and re-ships the durable prefix to the
-        replacement. Runs on this thread because repair issues blocking
-        flow-credit waits and RPCs that must not run on transport
-        callbacks.
-        """
-        with self._flights_lock:
-            if not self._repairs:
-                return
-            repairs, self._repairs = self._repairs, []
-        core = self.cluster.brokers[self.broker_id]
-        # Earliest-issued failed batch per vlog: abort_batch(earliest)
-        # rewinds the cursor past every later in-flight sibling too.
-        earliest: dict[int, ReplicationBatch] = {}
-        failed_nodes: list[int] = []
-        for batch, node, _error in repairs:
-            if node not in failed_nodes:
-                failed_nodes.append(node)
-            if batch is None or batch.repair:
-                # Proactive repair (no failed flight), or a repair ship
-                # that failed: durability was never revoked, so there is
-                # nothing to abort; the node swap below emits fresh
-                # repair batches.
-                continue
-            best = earliest.get(batch.vlog_id)
-            if best is None or batch.issue_seq < best.issue_seq:
-                earliest[batch.vlog_id] = batch
-        for batch in earliest.values():
-            # Aborting drops every later in-flight batch of the vlog;
-            # their late acks must find their flights already resolved
-            # (else they would complete_batch a dropped batch).
-            with self._flights_lock:
-                siblings = [
-                    f
-                    for f in self._flights.values()
-                    if f.batch.vlog_id == batch.vlog_id
-                    and not f.batch.repair
-                    and f.batch.issue_seq >= batch.issue_seq
-                ]
-                for flight in siblings:
-                    flight.resolved = True
-                    self._flights.pop(flight.batch.batch_id, None)
-            for flight in siblings:
-                self.flow.release(flight.nbytes)
+    def pump(self) -> bool:
+        """One turn of the ship loop: un-issue failed flights and repair
+        around dead backups, then collect and issue, until nothing is
+        collectible. False when the turn ended on a ship failure nobody
+        repairs (the waiting produces have been failed)."""
+        with self._pump_lock:
+            if self._pumping or self.error is not None:
+                # Re-entered from an ack callback: the outer turn's next
+                # collect picks the new references up.
+                return True
+            self._pumping = True
+            core = self.cluster.brokers[self.broker_id]
             try:
-                core.abort_batch(batch)
-            except ReplicationError:
-                # Already dropped by an earlier sibling's abort (a late
-                # failure callback queued after that abort ran): the
-                # rewound cursor covers these references.
-                continue
-        for node in failed_nodes:
-            # ReplicationError here is the typed cluster-too-small
-            # refusal (not enough survivors for the copy count) and must
-            # surface to producers, not be swallowed.
+                while self.error is None and self._service(core):
+                    batches = core.collect_batches()
+                    if not batches:
+                        return True
+                    for batch in batches:
+                        self._issue(batch)
+            except Exception as exc:  # noqa: BLE001 - surfaced to producers
+                self.cluster._on_ship_failure(self.broker_id, exc)
+            finally:
+                self._pumping = False
+            return False
+
+    def _service(self, core: "KeraBrokerCore") -> bool:
+        """Un-issue every failed flight, then swap each dead backup out
+        and re-ship the durable prefixes to its replacement. False when a
+        flight failed and no failover plane repairs around the failure."""
+        with self._flights_lock:
+            failed, self._failed = self._failed, []
+            nodes, self._dead_nodes = self._dead_nodes, []
+        unrepaired: BaseException | None = None
+        # Earliest first: un-issuing a batch takes its virtual log's later
+        # flights with it, failed or not.
+        for flight, node, error in sorted(failed, key=lambda f: f[0].batch.issue_seq):
+            # Backup loss is survivable: a failover plane that claims the
+            # node fences it cluster-wide, and this loop repairs around it.
+            if node is not None and self.cluster.report_backup_failure(node, error):
+                nodes.append(node)
+            elif unrepaired is None:
+                unrepaired = error
+            self._unissue(core, flight)
+        for node in dict.fromkeys(nodes):
+            # ReplicationError here is the typed cluster-too-small refusal
+            # (not enough survivors for the copy count): it fails the
+            # waiting produces, it is not swallowed.
             for repair_batch in core.handle_backup_failure(node):
-                self._issue(core, repair_batch)
-        self._wake.set()
+                self._issue(repair_batch)
+        if unrepaired is not None:
+            self.cluster._on_ship_failure(self.broker_id, unrepaired)
+        return unrepaired is None
+
+    def _unissue(self, core: "KeraBrokerCore", flight: _Flight) -> None:
+        """Close a failed flight and its virtual log's later ones, return
+        their credit and rewind the log's cursor to the failed batch."""
+        batch = flight.batch
+        with self._flights_lock:
+            if self._flights.get(flight.key) is not flight:
+                return  # un-issued with an earlier sibling
+            # Late acks of a closed flight find it gone from the table
+            # (else they would complete_batch a dropped batch).
+            closed = [
+                f
+                for f in self._flights.values()
+                if f is flight
+                or not (batch.repair or f.batch.repair)
+                and f.batch.vlog_id == batch.vlog_id
+                and f.batch.issue_seq > batch.issue_seq
+            ]
+            for sibling in closed:
+                del self._flights[sibling.key]
+        for sibling in closed:
+            self.flow.release(sibling.nbytes)
+        if not batch.repair:
+            # A failed repair ship revoked no durability: nothing to
+            # abort, the node swap emits fresh repair batches.
+            core.abort_batch(batch)
 
     # -- issue path -----------------------------------------------------------
 
-    def _issue(self, core: "KeraBrokerCore", batch: ReplicationBatch) -> None:
-        request = self.cluster.system.replicate_request(self.broker_id, batch)
-        nbytes = request.payload_bytes()
-        if not self.flow.try_acquire(nbytes):
-            self.batcher.observe_backpressure()
-            while not self.flow.acquire(nbytes, timeout=self._IDLE_POLL):
-                if self._stopping.is_set() and time.monotonic() >= self._drain_deadline:
-                    core.abort_batch(batch)
-                    return
-        flight = _Flight(batch, nbytes, len(batch.backups))
+    def _issue(self, batch: ReplicationBatch) -> None:
+        """Send one batch to its backups. Never raises: the batch is in
+        the flight table before anything can fail, and a failure — no
+        credit before the drain deadline, a failed node, an enqueue error
+        — is queued for this pump's next ``_service`` to un-issue. (No
+        wake-up: that would re-pump, an unasked retry, forever against a
+        backup that stays dead.)"""
+        flight = _Flight(batch)
         with self._flights_lock:
-            self._flights[batch.batch_id] = flight
-        for backup in batch.backups:
-            with self.cluster._failed_lock:
-                failed = backup in self.cluster._failed
-            if failed:
-                self._resolve(
-                    flight,
-                    ReplicationError(f"replication to failed node {backup}"),
-                    backup,
-                )
-                return
-            try:
+            self._flights[flight.key] = flight
+        backup = None
+        try:
+            request = self.cluster.system.replicate_request(self.broker_id, batch)
+            nbytes = request.payload_bytes()
+            credited = self.flow.try_acquire(nbytes)
+            while not credited:
+                if self._stopping.is_set() and time.monotonic() >= self._drain_deadline:
+                    raise ReplicationError(
+                        f"broker {self.broker_id}: drain deadline passed "
+                        "waiting for replication credit"
+                    )
+                credited = self.flow.acquire(nbytes, timeout=self._IDLE_POLL)
+            flight.nbytes = nbytes
+            for backup in batch.backups:
+                if self.cluster.is_failed(backup):
+                    raise ReplicationError(f"replication to failed node {backup}")
                 self.cluster.transport.call_async(
                     self.broker_id,
                     backup,
@@ -255,67 +300,37 @@ class PipelinedShipper(threading.Thread):
                     nbytes,
                     on_done=lambda _resp, err, f=flight, b=backup: self._resolve(f, err, b),
                 )
-            except BaseException as exc:  # noqa: BLE001 - enqueue-side failure
-                self._resolve(flight, exc, backup)
-                return
+        except Exception as exc:  # noqa: BLE001 - un-issued by _service
+            with self._flights_lock:
+                flight.failed = True
+                self._failed.append((flight, backup, exc))
 
-    # -- ack path (transport threads) -----------------------------------------
+    # -- ack path (wherever the transport runs callbacks) -----------------------
 
-    def _resolve(
-        self,
-        flight: _Flight,
-        error: BaseException | None,
-        backup: int | None = None,
-    ) -> None:
+    def _resolve(self, flight: _Flight, error: BaseException | None, backup: int) -> None:
         with self._flights_lock:
-            if flight.resolved:
-                return  # late ack for a batch already failed
-            if error is None:
+            if flight.failed or self._flights.get(flight.key) is not flight:
+                return  # late ack for a flight already failed or un-issued
+            if error is not None:
+                flight.failed = True
+                self._failed.append((flight, backup, error))
+            else:
                 flight.remaining -= 1
                 if flight.remaining > 0:
                     return
-            flight.resolved = True
-            self._flights.pop(flight.batch.batch_id, None)
-        if error is not None:
-            self.flow.release(flight.nbytes)
-            # Backup-loss is survivable: if the failover plane claims the
-            # node (fences it cluster-wide), queue the batch for repair on
-            # the shipper thread instead of killing this broker's pipeline.
-            if backup is not None and self.cluster.report_backup_failure(backup, error):
-                with self._flights_lock:
-                    self._repairs.append((flight.batch, backup, error))
-                self._wake.set()
-                return
-            self._fail(error)
-            return
-        if flight.batch.repair:
-            # Repair batches re-ship an already-durable prefix to a
-            # replacement backup; the virtual log forbids completing them
-            # (durability was never revoked), so just return the credit.
-            self.flow.release(flight.nbytes)
-            self._wake.set()
-            return
-        try:
-            # Safe on a transport thread: the core's reentrant mutex
-            # serializes this against produces, and out-of-order acks are
-            # re-sequenced inside the virtual log.
-            self.cluster.brokers[self.broker_id].complete_batch(flight.batch)
-        except BaseException as exc:  # noqa: BLE001 - surfaced to producers
-            self.flow.release(flight.nbytes)
-            self._fail(exc)
-            return
-        self.flow.release(flight.nbytes)
-        self.batcher.observe_ship(len(flight.batch.refs), time.monotonic())
-        # Freed credit / pipeline slot: let the shipper look again.
+                del self._flights[flight.key]
+        if error is None:
+            try:
+                # Repair batches re-ship an already-durable prefix: there
+                # is nothing to complete. The rest is safe on a transport
+                # thread: the core's reentrant mutex serializes it against
+                # produces, and out-of-order acks are re-sequenced inside
+                # the virtual log.
+                if not flight.batch.repair:
+                    self.cluster.brokers[self.broker_id].complete_batch(flight.batch)
+            except Exception as exc:  # noqa: BLE001 - surfaced to producers
+                self.cluster._on_ship_failure(self.broker_id, exc)
+            finally:
+                self.flow.release(flight.nbytes)
+        # A failure to service, or a freed slot / credit: look again.
         self._wake.set()
-
-    def _fail(self, error: BaseException) -> None:
-        first = False
-        if self.error is None:
-            self.error = error
-            first = True
-        self._wake.set()
-        if first:
-            # Completion-driven produces have no thread to wake, so
-            # fail them eagerly.
-            self.cluster._on_shipper_error(self.broker_id, error)

@@ -2,10 +2,10 @@
 
 Every (node, service) binding runs on its own worker threads behind a
 bounded request queue (:class:`repro.runtime.ThreadedTransport`), each
-broker additionally drives push replication from a dedicated *shipper*
-thread, and real concurrent producers/consumers push real bytes — the
-configuration that proves the sans-IO cores are thread-safe under
-contention.
+broker's replication ship loop (:mod:`repro.kera.shipper`, the same loop
+every driver runs) gets a thread of its own, and real concurrent
+producers/consumers push real bytes — the configuration that proves the
+sans-IO cores are thread-safe under contention.
 
 Concurrency design, mirroring the simulator's model:
 
@@ -17,21 +17,19 @@ Concurrency design, mirroring the simulator's model:
   replication registration atomic, so virtual-log reference order always
   matches segment append order (the invariant
   ``mark_chunk_durable`` enforces);
-* no worker thread waits for replication: the service appends, wakes the
-  node's shipper (this driver's replication kick) and returns; the
-  produce completes through the runtime's :class:`CompletionTracker`
-  when the shipper's replicate acks land. The backup service runs
-  single-worker, keeping each backup core single-threaded.
+* no worker thread waits for replication: the service appends, kicks
+  the node's shipper (which wakes its thread) and returns; the produce
+  completes through the runtime's :class:`CompletionTracker` when the
+  shipper's replicate acks land. The backup service runs single-worker,
+  keeping each backup core single-threaded.
 """
 
 from __future__ import annotations
 
-from repro.common.errors import ReplicationError
 from repro.runtime.threaded import ThreadedTransport
 from repro.runtime.transport import Transport
 from repro.kera.config import KeraConfig
 from repro.kera.live import LiveKeraCluster
-from repro.kera.shipper import PipelinedShipper
 
 
 class ThreadedKeraCluster(LiveKeraCluster):
@@ -51,7 +49,6 @@ class ThreadedKeraCluster(LiveKeraCluster):
         transport: Transport | None = None,
     ) -> None:
         self.ack_timeout = ack_timeout
-        self._shippers: dict[int, PipelinedShipper] = {}
         super().__init__(
             config,
             transport
@@ -61,40 +58,13 @@ class ThreadedKeraCluster(LiveKeraCluster):
                 call_timeout=call_timeout,
             ),
         )
-        for node in self.system.node_ids:
-            shipper = PipelinedShipper(self, node)
-            self._shippers[node] = shipper
+        for shipper in self._shippers.values():
             shipper.start()
-
-    def _kick_replication(self, node_id: int) -> None:
-        self._shippers[node_id].kick()
 
     def _backup_binding(self, node_id: int) -> object:
         # A live object whose flusher thread owns the disk (the service
         # acks from the buffer); worker-process drivers return a spec.
         return self._local_backup(node_id, async_flush=True)
-
-    def shipper(self, broker_id: int) -> PipelinedShipper:
-        return self._shippers[broker_id]
-
-    def _shipper_error(self, broker_id: int) -> BaseException | None:
-        shipper = self._shippers.get(broker_id)
-        return shipper.error if shipper is not None else None
-
-    def _fence_broker_service(self, node_id: int) -> None:
-        super()._fence_broker_service(node_id)
-        self._shippers[node_id].halt(
-            ReplicationError(f"broker {node_id} fenced by failover")
-        )
-
-    def repair_backups_for(self, failed_node: int) -> None:
-        # Queue the repair on each survivor's shipper thread rather than
-        # sending from here: a backup's per-vseg arrival order must match
-        # the one shipper's issue order, or later recovery merges would
-        # see interleaved (diverging) runs.
-        for survivor_id, shipper in self._shippers.items():
-            if not self.is_failed(survivor_id) and shipper.error is None:
-                shipper.repair_node(failed_node)
 
     def shutdown(self) -> None:
         for shipper in self._shippers.values():

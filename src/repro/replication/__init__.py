@@ -29,7 +29,7 @@ I/Os with larger ones on backups``.
 """
 
 from repro.replication.config import ReplicationConfig, PolicyMode
-from repro.replication.flow import FlowController, AdaptiveBatcher
+from repro.replication.flow import FlowController
 from repro.replication.chunk_ref import ChunkRef
 from repro.replication.virtual_segment import VirtualSegment
 from repro.replication.virtual_log import VirtualLog, ReplicationBatch
@@ -41,7 +41,6 @@ __all__ = [
     "ReplicationConfig",
     "PolicyMode",
     "FlowController",
-    "AdaptiveBatcher",
     "ChunkRef",
     "VirtualSegment",
     "VirtualLog",

@@ -49,15 +49,11 @@ class ReplicationConfig:
     #: acks may return out of order; durability still applies strictly in
     #: issue order (see ``VirtualLog.complete_batch``).
     pipeline_depth: int = 1
-    #: Credit window for the pipelined shipper: bound on unacked
-    #: replication payload bytes per broker (0 = unlimited). Producers
-    #: observe bounded ``in_flight_bytes`` instead of blocking on one
-    #: synchronous round-trip per batch.
+    #: Credit window for the ship loop: bound on unacked replication
+    #: payload bytes per broker (0 = unlimited). Producers observe
+    #: bounded ``in_flight_bytes`` instead of blocking on one synchronous
+    #: round-trip per batch.
     ship_window_bytes: int = 0
-    #: Linger ceiling for the adaptive batcher (seconds): with work below
-    #: the current consolidation target, the shipper waits up to this long
-    #: for more appends before shipping a small batch. 0 ships eagerly.
-    ship_linger_s: float = 0.0
     #: Durable tier (live drivers with a persist dir): when backups
     #: ``fsync`` their segment files — ``never`` (OS decides), ``always``
     #: (every flush), ``interval:<ms>`` (time-batched), or ``bytes:<n>``
@@ -80,8 +76,8 @@ class ReplicationConfig:
             raise ConfigError("batch caps must be >= 0")
         if self.pipeline_depth < 1:
             raise ConfigError("pipeline_depth must be >= 1")
-        if self.ship_window_bytes < 0 or self.ship_linger_s < 0:
-            raise ConfigError("ship window and linger must be >= 0")
+        if self.ship_window_bytes < 0:
+            raise ConfigError("ship window must be >= 0")
         head = self.fsync_policy.strip().partition(":")[0].lower()
         if head not in ("never", "always", "interval", "bytes", "every_n_bytes"):
             raise ConfigError(

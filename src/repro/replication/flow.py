@@ -1,24 +1,17 @@
-"""Replication flow control: credit-based backpressure + adaptive batching.
+"""Replication flow control: credit-based backpressure.
 
-Two small, independently-testable policies used by the pipelined shipper
-(``repro.kera.shipper``):
+:class:`FlowController` is a byte-credit window over the replication
+plane, used by the ship loop (``repro.kera.shipper``). Each issued batch
+acquires credit for its payload; each ack (or failure) releases it.
+Producers therefore observe a bounded ``in_flight_bytes`` instead of
+blocking on one synchronous round-trip per batch — when the window is
+exhausted the *shipper* parks, appends keep accumulating, and the next
+batch consolidates them (the paper's group-commit effect, self-clocked
+by credit and by each virtual log's busy pipeline slots; there is no
+linger timer).
 
-* :class:`FlowController` — a byte-credit window over the replication
-  plane. Each issued batch acquires credit for its payload; each ack (or
-  failure) releases it. Producers therefore observe a bounded
-  ``in_flight_bytes`` instead of blocking on one synchronous round-trip
-  per batch — when the window is exhausted the *shipper* parks, appends
-  keep accumulating, and the next batch consolidates them (the paper's
-  group-commit effect, now self-clocked by credit instead of by a single
-  outstanding RPC).
-* :class:`AdaptiveBatcher` — a size- and linger-triggered consolidation
-  window in the spirit of Kafka's ``batch.size``/``linger.ms``: the
-  target batch size grows while batches arrive full (demand exceeds the
-  window) and decays while they ship small; with less than the target
-  accumulated the shipper may linger briefly to let appends consolidate.
-
-Both are transport-agnostic: the shared-memory ring transport maps its
-free ring bytes onto the same credit notion (``Transport.credit``).
+It is transport-agnostic: the shared-memory ring transport maps its free
+ring bytes onto the same credit notion (``Transport.credit``).
 """
 
 from __future__ import annotations
@@ -88,56 +81,3 @@ class FlowController:
             self._in_flight_bytes = max(self._in_flight_bytes - nbytes, 0)
             self._credit_free.notify_all()
 
-
-class AdaptiveBatcher:
-    """Size/linger policy for the consolidation window.
-
-    Pure decision logic (no threads, no clock reads — callers pass
-    ``now``), so unit tests drive it deterministically.
-    """
-
-    def __init__(
-        self,
-        *,
-        min_target_chunks: int = 1,
-        max_target_chunks: int = 512,
-        linger_s: float = 0.0,
-    ) -> None:
-        if min_target_chunks < 1 or max_target_chunks < min_target_chunks:
-            raise ConfigError("batcher targets must satisfy 1 <= min <= max")
-        if linger_s < 0:
-            raise ConfigError("linger must be >= 0")
-        self.min_target_chunks = min_target_chunks
-        self.max_target_chunks = max_target_chunks
-        self.linger_s = linger_s
-        self.target_chunks = min_target_chunks
-        self._last_ship = float("-inf")
-
-    def linger_delay(self, pending_chunks: int, now: float) -> float:
-        """Seconds the shipper should wait for more appends, or 0 to ship.
-
-        Lingers only while there is *some* work but less than the current
-        target, and only within ``linger_s`` of the previous ship — an
-        idle log or a full batch always ships immediately.
-        """
-        if self.linger_s == 0 or pending_chunks == 0:
-            return 0.0
-        if pending_chunks >= self.target_chunks:
-            return 0.0
-        remaining = self._last_ship + self.linger_s - now
-        return max(remaining, 0.0)
-
-    def observe_ship(self, chunk_count: int, now: float) -> None:
-        """Feedback from one shipped batch: batches arriving at or above
-        target mean the window is limiting — grow it; batches shipping
-        well under target mean demand fell — decay toward the floor."""
-        self._last_ship = now
-        if chunk_count >= self.target_chunks:
-            self.target_chunks = min(self.target_chunks * 2, self.max_target_chunks)
-        elif chunk_count * 2 < self.target_chunks:
-            self.target_chunks = max(self.target_chunks // 2, self.min_target_chunks)
-
-    def observe_backpressure(self) -> None:
-        """The credit window refused a batch: consolidate harder (fewer,
-        larger RPCs reduce per-RPC overhead while credit is scarce)."""
-        self.target_chunks = min(self.target_chunks * 2, self.max_target_chunks)

@@ -105,10 +105,10 @@ class ReplicationManager:
 
     def collect_batches(self) -> list[ReplicationBatch]:
         """Batches ready to ship right now, from every dirty virtual log
-        with in-flight credit. A log yields one batch per free pipeline
-        slot (``pipeline_depth`` 1 keeps the classic one-at-a-time group
-        commit); logs that still hold unshipped work stay dirty for the
-        next collection."""
+        with a free pipeline slot. A log yields one batch per free slot
+        (``pipeline_depth`` 1 is the classic one-at-a-time group commit);
+        logs that still hold unshipped work stay dirty for the next
+        collection."""
         batches = []
         still_dirty: set[int] = set()
         for key in sorted(self._dirty):
@@ -124,14 +124,6 @@ class ReplicationManager:
                 still_dirty.add(key)
         self._dirty = still_dirty
         return batches
-
-    def unshipped_chunks(self) -> int:
-        """References not yet placed in any batch, across dirty logs."""
-        return sum(
-            vlog.unshipped_chunks()
-            for key in self._dirty
-            if (vlog := self._vlogs.get(key)) is not None
-        )
 
     def complete_batch(self, batch: ReplicationBatch) -> list[StoredChunk]:
         """All backups acked: advance watermarks, fire durability events."""

@@ -5,20 +5,21 @@ replicated, always a single open virtual segment (the replication of the
 virtual log resembles RAMCloud's log implementation)`` (paper,
 Section IV-B).
 
-Batching discipline: by default a virtual log keeps **one replication RPC
-in flight** at a time. While that RPC travels, new chunk references
-accumulate; the next batch ships everything that accumulated (bounded by
-the optional config caps). This self-clocking group commit is what
-consolidates many partitions' small appends into large backup I/Os — and,
-inversely, what makes *too many* virtual logs degenerate into per-chunk
-RPCs (Figures 14-16's 40-50% drop).
+Batching discipline: a virtual log keeps at most ``pipeline_depth``
+replication RPCs in flight — **one** by default. While its slots are
+busy, new chunk references accumulate; the next batch ships everything
+that accumulated (bounded by the optional config caps). This
+self-clocking group commit is what consolidates many partitions' small
+appends into large backup I/Os — and, inversely, what makes *too many*
+virtual logs degenerate into per-chunk RPCs (Figures 14-16's 40-50%
+drop).
 
-With ``pipeline_depth > 1`` the log keeps several RPCs in flight
-(pipelined shipping): batches are issued in cursor order and acks may
-return in any order, but durability is *applied* strictly in issue order
-— an ack for a later batch is buffered until every earlier batch has
-acked, so ``mark_chunk_durable``'s in-append-order invariant holds
-unchanged.
+Batches are issued in cursor order and acks may return in any order, but
+durability is *applied* strictly in issue order — an ack for a later
+batch is buffered until every earlier batch has acked, so
+``mark_chunk_durable``'s in-append-order invariant holds at any depth.
+Repair batches (:meth:`VirtualLog.handle_backup_failure`) re-ship what is
+already durable: they never enter the flight table or move the cursor.
 """
 
 from __future__ import annotations
@@ -49,8 +50,8 @@ class ReplicationBatch:
     #: Overridden backup set for repair batches (the replacement node).
     repair_backups: tuple[int, ...] = field(default=())
     #: Per-virtual-log issue sequence, stamped by ``VirtualLog.next_batch``
-    #: and used to apply pipelined acks in issue order. -1 on batches built
-    #: outside the shipping cursor (repairs), which never advance it.
+    #: and used to apply acks in issue order. -1 on repair batches, which
+    #: are built outside the shipping cursor and never advance it.
     issue_seq: int = field(default=-1, compare=False)
 
     @property
@@ -77,7 +78,6 @@ class VirtualLog:
         "vsegs",
         "_vseg_ids",
         "_batch_ids",
-        "in_flight",
         "_inflight",
         "_acked",
         "_issue_seq",
@@ -103,10 +103,8 @@ class VirtualLog:
         self.vsegs: list[VirtualSegment] = []
         self._vseg_ids = vseg_ids or IdGenerator()
         self._batch_ids = IdGenerator()
-        #: Whether any replication RPC for this vlog is currently in flight.
-        self.in_flight = False
-        # In-flight batches by batch id, in issue order (pipelining keeps
-        # up to config.pipeline_depth of them).
+        # In-flight batches by batch id, in issue order (at most
+        # config.pipeline_depth of them).
         self._inflight: dict[int, ReplicationBatch] = {}
         # Acked batches waiting for earlier issues to ack (out-of-order
         # completions buffer), keyed by issue sequence.
@@ -161,30 +159,20 @@ class VirtualLog:
             return True
         return self._ship_ref_index < len(self.vsegs[-1].refs)
 
-    def unshipped_chunks(self) -> int:
-        """References appended but not yet put in any batch (the adaptive
-        batcher's size trigger reads this to decide ship-now vs linger)."""
-        total = 0
-        for index in range(self._ship_vseg_index, len(self.vsegs)):
-            total += len(self.vsegs[index].refs)
-            if index == self._ship_vseg_index:
-                total -= self._ship_ref_index
-        return total
+    @property
+    def in_flight(self) -> bool:
+        """Whether any replication RPC for this vlog is in flight."""
+        return bool(self._inflight)
 
     def next_batch(self) -> ReplicationBatch | None:
-        """Build the next batch if in-flight credit and work exist.
+        """Build the next batch if a pipeline slot is free and work exists.
 
         Ships strictly in order; a batch covers references from a single
         virtual segment. The caller must invoke :meth:`complete_batch`
-        (or :meth:`abort_batch`) exactly once per returned batch. With
-        ``pipeline_depth`` 1 (default) at most one batch is out at a time;
-        deeper pipelines issue more before the first ack returns.
+        (or :meth:`abort_batch`) exactly once per returned batch. At most
+        ``pipeline_depth`` batches (default 1) are out at a time.
         """
-        depth = self.config.pipeline_depth
-        if depth <= 1:
-            if self.in_flight or not self.has_unshipped():
-                return None
-        elif len(self._inflight) >= depth or not self.has_unshipped():
+        if len(self._inflight) >= self.config.pipeline_depth or not self.has_unshipped():
             return None
         # Skip fully-shipped vsegs (all refs shipped, cursor at end).
         while (
@@ -218,7 +206,6 @@ class VirtualLog:
         self._issue_seq += 1
         self._inflight[batch.batch_id] = batch
         self._ship_ref_index += len(refs)
-        self.in_flight = True
         self._stats_batches += 1
         self._stats_chunks += len(refs)
         self._stats_bytes += batch.payload_bytes
@@ -232,23 +219,13 @@ class VirtualLog:
         is replicated, the runtime updates the durable head of the
         physical segment so that consumers can pull records up to it``.
 
-        Pipelined acks may arrive in any order among in-flight batches;
-        completions are buffered and *applied* strictly in issue order, so
-        an early ack for a later batch returns ``[]`` and its chunks
-        surface once every earlier batch has acked.
+        Acks may arrive in any order among in-flight batches; completions
+        are buffered and *applied* strictly in issue order, so an early
+        ack for a later batch returns ``[]`` and its chunks surface once
+        every earlier batch has acked.
         """
-        if batch.issue_seq < 0:
-            # A batch built outside the shipping cursor (repair traffic,
-            # hand-assembled tests): the strict one-in-flight discipline.
-            if not self.in_flight:
-                raise ReplicationError("complete_batch without a batch in flight")
-            self.in_flight = False
-            if batch.repair:
-                return []
-            return self._apply_completion(batch)
         if self._inflight.pop(batch.batch_id, None) is None:
             raise ReplicationError("complete_batch without a batch in flight")
-        self.in_flight = bool(self._inflight)
         self._acked[batch.issue_seq] = batch
         done: list[StoredChunk] = []
         while self._apply_seq in self._acked:
@@ -274,21 +251,11 @@ class VirtualLog:
         """A backup failed mid-flight: rewind the cursor so the batch's
         references are re-shipped (to the repaired backup set).
 
-        Under pipelining, aborting a batch also drops every in-flight or
-        ack-buffered batch issued after it — their references sit at or
-        beyond the rewound cursor and will be re-issued. (None of them can
-        have applied: application is strictly in issue order.)
+        Aborting a batch also drops every in-flight or ack-buffered batch
+        issued after it — their references sit at or beyond the rewound
+        cursor and will be re-issued. (None of them can have applied:
+        application is strictly in issue order.)
         """
-        if batch.issue_seq < 0:
-            if not self.in_flight:
-                raise ReplicationError("abort_batch without a batch in flight")
-            self.in_flight = False
-            if batch.repair:
-                return
-            vseg_index = self.vsegs.index(batch.vseg)
-            self._ship_vseg_index = vseg_index
-            self._ship_ref_index = batch.refs[0].ref_index if batch.refs else 0
-            return
         if batch.batch_id not in self._inflight:
             raise ReplicationError("abort_batch without a batch in flight")
         for later in [
@@ -298,7 +265,6 @@ class VirtualLog:
         for seq in [s for s in self._acked if s >= batch.issue_seq]:
             del self._acked[seq]
         self._issue_seq = batch.issue_seq
-        self.in_flight = bool(self._inflight)
         # Rewind to the start of the aborted batch.
         vseg_index = self.vsegs.index(batch.vseg)
         self._ship_vseg_index = vseg_index

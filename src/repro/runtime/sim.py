@@ -9,8 +9,9 @@ execution). ``call`` returns a *generator* — the simulated caller must
 
 :class:`SimKeraReplication` is KerA's push-replication pipeline on this
 transport: one shipping process per virtual log, one batch in flight,
-staging cost charged against the broker's workers — the simulated twin
-of :meth:`repro.runtime.system.KeraSystem.drive_replication`.
+staging cost charged against the broker's workers. It drives the same
+:class:`~repro.replication.virtual_log.VirtualLog` cursor and flight
+table as the live ship loop (:mod:`repro.kera.shipper`), on sim time.
 """
 
 from __future__ import annotations

@@ -2,8 +2,10 @@
 
 An adapter owns the system's cores and the system-specific wiring that
 every driver used to duplicate: core construction, stream-catalog
-fan-out, and (for KerA) the push-replication drive loop and the single
-place a :class:`ReplicateRequest` is built from a batch.
+fan-out, and (for KerA) the single place a :class:`ReplicateRequest` is
+built from a batch — the ship loops themselves are
+:class:`repro.kera.shipper.PipelinedShipper` (every live driver) and
+:class:`repro.runtime.sim.SimKeraReplication` (the simulator).
 
 Cores are imported lazily inside methods: ``repro.kera`` and
 ``repro.kafka`` import this package for their drivers, so a module-level
@@ -12,7 +14,6 @@ import here would be circular.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from typing import Any, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -65,9 +66,7 @@ class KeraSystem(SystemAdapter):
                 replication_config=config.replication,
                 on_request_complete=completion.callback_for(node),
                 zero_copy_fetch=self.zero_copy_fetch,
-                fanout_cache_bytes=getattr(
-                    config, "fanout_cache_bytes", 64 * 1024 * 1024
-                ),
+                fanout_cache_bytes=config.fanout_cache_bytes,
             )
             self.backup_cores[node] = KeraBackupCore(**self.backup_core_kwargs(node))
 
@@ -76,12 +75,12 @@ class KeraSystem(SystemAdapter):
         picklable values, so a driver can build the same core in a
         worker process instead."""
         config = self.config
-        storage_dir = config.storage_dir
+        persist_dir = config.persist_dir
         return {
             "node_id": node,
             "materialize": config.storage.materialize,
             "flush_threshold": config.flush_threshold,
-            "disk_dir": f"{storage_dir}/node{node}" if storage_dir is not None else None,
+            "disk_dir": f"{persist_dir}/node{node}" if persist_dir is not None else None,
             "fsync_policy": config.replication.fsync_policy,
             "spill": config.replication.spill_sealed,
         }
@@ -97,8 +96,8 @@ class KeraSystem(SystemAdapter):
     @staticmethod
     def replicate_request(broker_id: int, batch: "ReplicationBatch") -> Any:
         """The wire form of one replication batch — built here and only
-        here, for every transport (sim ship loop, synchronous pump,
-        threaded shipper, crash repairs).
+        here, for every ship loop (the simulator's and the live
+        shipper's, repairs included).
 
         Materialized segments ship zero-copy ``frames`` (memoryview
         slices of the already-encoded, placement-stamped segment bytes);
@@ -129,36 +128,6 @@ class KeraSystem(SystemAdapter):
             batch_checksum=batch.vseg.checksum,
             chunks=list(wire_chunks(batch)),
         )
-
-    def drive_replication(
-        self, broker_id: int, send: Callable[[int, Any], Any]
-    ) -> int:
-        """Synchronously ship every ready batch of a broker until nothing
-        is left: the synchronous driver's replication kick. ``send(
-        backup_node, request)`` delivers one replicate RPC; batch
-        completion fires the durability callbacks. A failed ``send``
-        un-issues the batch it was shipping and every batch collected
-        with it, so a retry re-collects them instead of parking behind
-        acks nothing will ever deliver."""
-        core = self.broker_cores[broker_id]
-        shipped = 0
-        while True:
-            batches = core.collect_batches()
-            if not batches:
-                return shipped
-            for index, batch in enumerate(batches):
-                try:
-                    request = self.replicate_request(broker_id, batch)
-                    for backup_node in batch.backups:
-                        send(backup_node, request)
-                except BaseException:
-                    # Newest first: aborting a batch also drops the later
-                    # ones of its virtual log.
-                    for issued in reversed(batches[index:]):
-                        core.abort_batch(issued)
-                    raise
-                core.complete_batch(batch)
-                shipped += 1
 
 
 class KafkaSystem(SystemAdapter):

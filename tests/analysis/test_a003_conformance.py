@@ -144,6 +144,7 @@ def test_pipelined_shipper_surface_pinned(analyze):
             "mod.py": """
             class PipelinedShipper:
                 def kick(self): ...
+                def pump(self): ...
                 def stop(self, timeout): ...
                 def in_flight_batches(self): ...
             """

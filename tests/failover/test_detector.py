@@ -134,11 +134,13 @@ def test_slow_recovery_does_not_expire_healthy_leases():
     def on_down(verdict):
         verdicts.append(verdict)
         if verdict.node_id == 2:
-            time.sleep(0.3)  # six leases long
+            time.sleep(1.2)  # six leases long
             recovered.set()
 
+    # A lease wide enough that a scheduling stall on a loaded box (this
+    # runs right after the chaos suites) is not itself a missed heartbeat.
     detector = FailureDetector(
-        cluster, heartbeat_interval=0.01, lease_timeout=0.05, on_down=on_down
+        cluster, heartbeat_interval=0.01, lease_timeout=0.2, on_down=on_down
     )
     detector.start()
     try:

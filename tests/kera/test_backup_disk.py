@@ -17,7 +17,7 @@ def make_cluster(tmp_path, flush_threshold=2 * KB):
         replication=ReplicationConfig(replication_factor=3, vlogs_per_broker=1),
         chunk_size=1 * KB,
         flush_threshold=flush_threshold,
-        disk_dir=str(tmp_path / "backups"),
+        persist_dir=str(tmp_path / "backups"),
     )
     return InprocKeraCluster(config)
 

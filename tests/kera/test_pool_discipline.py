@@ -11,17 +11,17 @@ from repro.storage.config import StorageConfig
 from repro.wire.chunk import CHUNK_HEADER_SIZE, ChunkBuilder
 from repro.wire.pool import BufferPool
 from repro.kera import KeraConfig, KeraProducer
-from repro.kera.inproc import InprocKeraCluster
+from tests.kera.drivers import CONCURRENT, DRIVERS
 
 
-def make_cluster():
+def make_cluster(driver="inproc"):
     config = KeraConfig(
         num_brokers=3,
         storage=StorageConfig(segment_size=64 * KB),
         replication=ReplicationConfig(replication_factor=3),
         chunk_size=1 * KB,
     )
-    return InprocKeraCluster(config)
+    return DRIVERS[driver](config)
 
 
 def test_builder_init_failure_returns_buffer():
@@ -51,26 +51,30 @@ def test_producer_close_returns_all_buffers():
         assert producer.pool.rented == 0
 
 
-def test_failed_produce_leaks_nothing():
+def test_failed_produce_leaks_nothing(driver="inproc"):
     """The regression this satellite exists for: a produce that raises
     mid-flush must not strand rented scratch buffers — close() on the
-    error path returns every buffer and pool.rented drops to 0."""
-    with make_cluster() as cluster:
+    error path returns every buffer and pool.rented drops to 0. And a
+    ship failure means the same on every driver: the waiting produce
+    fails at once with the typed error, and its batches are un-issued."""
+    with make_cluster(driver) as cluster:
         cluster.create_stream(0, 2)
         producer = KeraProducer(cluster, producer_id=1)
         for i in range(20):
             producer.send(0, f"v{i}".encode())
-        # Fail every backup except nothing-in-particular: replication to
-        # a failed node raises out of the synchronous inproc produce.
+        # Fail every backup, with no failover plane to repair around
+        # them: replication to a failed node fails the produce.
         with cluster._failed_lock:
             cluster._failed.update(cluster.system.node_ids)
+        started = time.monotonic()
         with pytest.raises(ReplicationError):
             producer.flush()
+        assert time.monotonic() - started < 1.0
         # The unsent chunks were put back for a retry...
         assert producer._ready
         # ...and close on the error path still returns every buffer. Its
         # retry of the same chunks fails at once with the typed error: the
-        # failed pump un-issued its batch, so the retry re-ships (and
+        # failed pump un-issued its batches, so the retry re-ships (and
         # fails again) instead of waiting out the ack timeout behind a
         # batch nobody will complete.
         started = time.monotonic()
@@ -78,8 +82,22 @@ def test_failed_produce_leaks_nothing():
             producer.close()
         assert time.monotonic() - started < 1.0
         assert producer.pool.rented == 0
-        for broker in cluster.brokers.values():
+        # flush() raises on the first failed broker; let the others'
+        # produces fail too (each is failed after its un-issue).
+        deadline = time.monotonic() + 1.0
+        while cluster.inflight_produce_count() and time.monotonic() < deadline:
+            time.sleep(0.005)
+        assert cluster.inflight_produce_count() == 0
+        for node, broker in cluster.brokers.items():
             assert not any(vlog.in_flight for vlog in broker.manager.vlogs)
+            assert cluster.shipper(node).in_flight_batches() == 0
+            assert cluster.shipper(node).flow.in_flight_bytes == 0
+            assert cluster.shipper(node).error is None
+
+
+@pytest.mark.parametrize("driver", CONCURRENT)
+def test_failed_produce_on_every_other_driver(driver):
+    test_failed_produce_leaks_nothing(driver)
 
 
 def test_context_manager_returns_buffers_on_error():

@@ -119,7 +119,7 @@ def test_durable_tier_runs_inside_socket_workers(tmp_path):
     are on disk once shutdown returns."""
     root = tmp_path / "backups"
     with make_cluster(
-        config_kwargs={"disk_dir": str(root), "flush_threshold": 8 * KB}
+        config_kwargs={"persist_dir": str(root), "flush_threshold": 8 * KB}
     ) as cluster:
         cluster.create_stream(0, 2)
         acked, errors = run_producers(cluster, 2, 60, 2)

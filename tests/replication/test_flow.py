@@ -1,14 +1,11 @@
-"""Flow control: credit window and adaptive batcher (deterministic)."""
+"""Flow control: the credit window (deterministic)."""
 
 import threading
 
 import pytest
 
 from repro.common.errors import ConfigError
-from repro.replication.flow import AdaptiveBatcher, FlowController
-
-
-# -- FlowController ----------------------------------------------------------
+from repro.replication.flow import FlowController
 
 
 def test_unbounded_window_always_admits():
@@ -71,63 +68,3 @@ def test_negative_window_rejected():
     with pytest.raises(ConfigError):
         FlowController(-1)
 
-
-# -- AdaptiveBatcher ---------------------------------------------------------
-
-
-def test_batcher_validation():
-    with pytest.raises(ConfigError):
-        AdaptiveBatcher(min_target_chunks=0)
-    with pytest.raises(ConfigError):
-        AdaptiveBatcher(min_target_chunks=8, max_target_chunks=4)
-    with pytest.raises(ConfigError):
-        AdaptiveBatcher(linger_s=-1.0)
-
-
-def test_no_linger_when_disabled_or_idle():
-    b = AdaptiveBatcher(min_target_chunks=4, linger_s=0.0)
-    assert b.linger_delay(2, now=0.0) == 0.0
-    b = AdaptiveBatcher(min_target_chunks=4, linger_s=1.0)
-    assert b.linger_delay(0, now=0.0) == 0.0
-
-
-def test_full_batch_ships_immediately():
-    b = AdaptiveBatcher(min_target_chunks=4, linger_s=1.0)
-    assert b.linger_delay(4, now=0.0) == 0.0
-    assert b.linger_delay(7, now=0.0) == 0.0
-
-
-def test_linger_window_counts_from_last_ship():
-    b = AdaptiveBatcher(min_target_chunks=4, linger_s=1.0)
-    b.observe_ship(4, now=10.0)
-    # Under target, inside the linger window: wait out the remainder.
-    assert b.linger_delay(1, now=10.4) == pytest.approx(0.6)
-    # Window elapsed: ship what we have.
-    assert b.linger_delay(1, now=11.5) == 0.0
-
-
-def test_target_grows_on_full_batches_and_decays_when_small():
-    b = AdaptiveBatcher(min_target_chunks=2, max_target_chunks=16)
-    assert b.target_chunks == 2
-    b.observe_ship(2, now=0.0)
-    assert b.target_chunks == 4
-    b.observe_ship(4, now=0.0)
-    assert b.target_chunks == 8
-    b.observe_ship(99, now=0.0)
-    assert b.target_chunks == 16
-    b.observe_ship(16, now=0.0)
-    assert b.target_chunks == 16  # capped
-    b.observe_ship(1, now=0.0)
-    assert b.target_chunks == 8
-    for _ in range(10):
-        b.observe_ship(1, now=0.0)
-    assert b.target_chunks == 2  # floored
-
-
-def test_backpressure_grows_consolidation():
-    b = AdaptiveBatcher(min_target_chunks=2, max_target_chunks=8)
-    b.observe_backpressure()
-    assert b.target_chunks == 4
-    b.observe_backpressure()
-    b.observe_backpressure()
-    assert b.target_chunks == 8

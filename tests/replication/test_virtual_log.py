@@ -165,9 +165,12 @@ def test_backup_failure_repairs_durable_prefix(streamlet_factory, chunk_factory)
     assert len(new_backups) == 2
     # Durability was never lost.
     assert all(s.is_durable for s in stored)
-    # Completing the repair batch does not move watermarks.
-    vlog.in_flight = True
-    assert vlog.complete_batch(repair) == []
+    # A repair batch is outside the flight table: there is nothing to
+    # complete, and watermarks do not move.
+    with pytest.raises(ReplicationError):
+        vlog.complete_batch(repair)
+    assert vlog.vsegs[0].durable_index == 3
+    assert not vlog.in_flight
 
 
 def test_backup_failure_unreplicated_refs_reship_to_new_set(

@@ -54,8 +54,8 @@ def test_threaded_transport_drains_async_calls_on_shutdown():
 
 
 def test_pipelined_cluster_no_loss_with_window_and_linger():
-    """The full pipelined-shipper configuration — depth, credit window,
-    linger — under concurrent producers, then shutdown: nothing lost,
+    """The full pipelined-shipper configuration — depth and credit
+    window — under concurrent producers, then shutdown: nothing lost,
     nothing duplicated, every ack applied exactly once."""
     config = KeraConfig(
         num_brokers=4,
@@ -65,7 +65,6 @@ def test_pipelined_cluster_no_loss_with_window_and_linger():
             vlogs_per_broker=2,
             pipeline_depth=4,
             ship_window_bytes=1 * MB,
-            ship_linger_s=0.002,
         ),
         chunk_size=1 * KB,
     )
