@@ -22,8 +22,9 @@ here:
   name) — the Transport methods plus the ``listen_address`` /
   ``connection_count`` / ``worker_pid`` operator entry points that
   ``run_cluster.py``, the gateway drivers and chaos tooling reach
-  through — and the ``LiveKeraCluster`` produce and ``backup_*``
-  operator surface;
+  through — and the ``LiveKeraCluster`` produce, fetch and ``backup_*``
+  operator surface, with the broker core's watch/unwatch registry the
+  long-poll fetch parks on;
 * the one live broker service (``BrokerService``: ``handle`` plus the
   node and streamlet fences) and the streamlet-move entry points —
   module-level functions, pinned by name in ``FUNCTIONS``:
@@ -133,6 +134,21 @@ PROTOCOLS: dict[str, dict[str, MethodSpec]] = {
         # repair sender, which recovery reaches on every driver.
         "shipper": MethodSpec(("broker_id",)),
         "repair_backups_for": MethodSpec(("failed_node",)),
+        # The read path's one entry point: clients, the gateway and the
+        # benchmark's tracer reach the leaders' cores through it; `watch`
+        # hands a long-poll's token to those cores and `unwatch` takes it
+        # back from all of them.
+        "fetch": MethodSpec(
+            ("positions",),
+            kwonly=(
+                "consumer_id",
+                "max_chunks_per_entry",
+                "serve_views",
+                "defer_admission",
+                "watch",
+            ),
+        ),
+        "unwatch": MethodSpec(("token",)),
         # The backup operator surface: recovery, restart and the failover
         # plane reach every driver's backups through exactly these, and
         # each is one call on the node's "backup" binding — written once,
@@ -180,6 +196,16 @@ PROTOCOLS: dict[str, dict[str, MethodSpec]] = {
     # the transport reaches it through `handle`, the cluster's fences
     # (node-wide for a death, one streamlet for a voluntary move) through
     # the rest.
+    # The core's durability-watcher registry: the long-poll front end
+    # registers through `handle_fetch` (atomically with an empty plan) or
+    # `watch`, always leaves through `unwatch`, and a node fence reaches
+    # every parked fetch through `wake_watchers`.
+    "KeraBrokerCore": {
+        "handle_fetch": MethodSpec(("request",)),
+        "watch": MethodSpec(("streamlets", "notify", "token")),
+        "unwatch": MethodSpec(("token",)),
+        "wake_watchers": MethodSpec(()),
+    },
     "BrokerService": {
         "handle": MethodSpec(("method", "request")),
         "fence": MethodSpec(()),

@@ -43,6 +43,11 @@ from repro.gateway.protocol import GatewayError
 from repro.kera.messages import ChunkAssignment, FetchPosition
 
 
+#: How long a fetch that finds nothing may wait server-side for data,
+#: seconds, unless the call says otherwise (Kafka's ``fetch.max.wait.ms``).
+DEFAULT_MAX_WAIT = 0.5
+
+
 class AsyncGatewayClient:
     """One gateway connection, many in-flight requests."""
 
@@ -195,8 +200,14 @@ class AsyncGatewayClient:
         *,
         consumer_id: int,
         max_chunks_per_entry: int = 16,
+        max_wait: float = DEFAULT_MAX_WAIT,
     ) -> list[tuple[FetchPosition, FetchPosition, list[Chunk]]]:
         """One fetch round; ``(position, next_position, chunks)`` per entry.
+
+        A round in which *no* cursor has a durable chunk is held by the
+        gateway for up to ``max_wait`` seconds and answered the moment
+        one appears (long poll — no thread waits anywhere); ``max_wait=0``
+        answers at once, which is what a poll-until-empty loop wants.
 
         This is the client's address-space boundary: the chunks come back
         validated (payload CRCs, and record checksums where one lane pass
@@ -207,7 +218,11 @@ class AsyncGatewayClient:
         payload = await self._request(
             protocol.GW_FETCH,
             protocol.encode_fetch(
-                request_id, consumer_id, positions, max_chunks_per_entry
+                request_id,
+                consumer_id,
+                positions,
+                max_chunks_per_entry,
+                round(min(max(max_wait, 0.0) * 1000, 0xFFFFFFFF)),  # u32 ms on the wire
             ),
             protocol.GW_FETCH_OK,
         )
@@ -673,12 +688,17 @@ class AsyncConsumer:
             streamlet_ids=streamlets,
         )
 
-    async def poll_chunks(self, max_chunks_per_entry: int = 16) -> list[Chunk]:
-        """One fetch round over every cursor; advances them."""
+    async def poll_chunks(
+        self, max_chunks_per_entry: int = 16, *, max_wait: float = DEFAULT_MAX_WAIT
+    ) -> list[Chunk]:
+        """One fetch round over every cursor; advances them. An empty
+        round waits up to ``max_wait`` seconds server-side for the first
+        durable chunk (see :meth:`AsyncGatewayClient.fetch`)."""
         entries = await self.client.fetch(
             list(self._positions.values()),
             consumer_id=self.consumer_id,
             max_chunks_per_entry=max_chunks_per_entry,
+            max_wait=max_wait,
         )
         out: list[Chunk] = []
         for position, next_position, chunks in entries:
@@ -688,19 +708,21 @@ class AsyncConsumer:
             self.records_read += sum(c.record_count for c in chunks)
         return out
 
-    async def poll(self, max_chunks_per_entry: int = 16) -> list[Record]:
+    async def poll(
+        self, max_chunks_per_entry: int = 16, *, max_wait: float = DEFAULT_MAX_WAIT
+    ) -> list[Record]:
         """One fetch round, decoded. ``Chunk.records()`` verifies whatever
         the fetch boundary's batch pass did not already (``records_verified``)."""
         records: list[Record] = []
-        for chunk in await self.poll_chunks(max_chunks_per_entry):
+        for chunk in await self.poll_chunks(max_chunks_per_entry, max_wait=max_wait):
             records.extend(chunk.records())
         return records
 
     async def drain(self, *, max_rounds: int = 1000) -> list[Record]:
-        """Poll until a round returns nothing."""
+        """Poll until a round returns nothing (never waits: ``max_wait=0``)."""
         records: list[Record] = []
         for _ in range(max_rounds):
-            batch = await self.poll()
+            batch = await self.poll(max_wait=0)
             if not batch:
                 return records
             records.extend(batch)

@@ -54,7 +54,8 @@ _U32 = struct.Struct("<I")
 _PRODUCE_OK_HEAD = struct.Struct("<QI")  # request_id, nassignments
 #: stream, streamlet, group, segment, offset, duplicate
 _ASSIGNMENT = struct.Struct("<qqqqqB")
-_FETCH_HEAD = struct.Struct("<QqII")  # request_id, consumer_id, max_chunks, npositions
+#: request_id, consumer_id, max_chunks, max_wait_ms, npositions
+_FETCH_HEAD = struct.Struct("<QqIII")
 #: stream, streamlet, entry, group_pos, chunk_pos, seek_record (-1 = none)
 _POSITION = struct.Struct("<qqqqqq")
 _FETCH_OK_HEAD = struct.Struct("<QI")  # request_id, nentries
@@ -186,9 +187,15 @@ def encode_fetch(
     consumer_id: int,
     positions: Sequence[FetchPosition],
     max_chunks_per_entry: int,
+    max_wait_ms: int = 0,
 ) -> list[BufferPart]:
+    """``max_wait_ms`` is the fetch-wait contract, carried per request:
+    when no requested cursor has a durable chunk the server may hold the
+    request that long for one to appear (0 = answer at once)."""
     parts: list[BufferPart] = [
-        _FETCH_HEAD.pack(request_id, consumer_id, max_chunks_per_entry, len(positions))
+        _FETCH_HEAD.pack(
+            request_id, consumer_id, max_chunks_per_entry, max_wait_ms, len(positions)
+        )
     ]
     parts.extend(_pack_position(pos) for pos in positions)
     return parts
@@ -196,16 +203,20 @@ def encode_fetch(
 
 def decode_fetch(
     payload: bytes | memoryview,
-) -> tuple[int, int, int, list[FetchPosition]]:
-    request_id, consumer_id, max_chunks, npositions = _FETCH_HEAD.unpack_from(
-        payload, 0
-    )
-    offset = _FETCH_HEAD.size
-    positions: list[FetchPosition] = []
-    for _ in range(npositions):
-        positions.append(_unpack_position(payload, offset))
-        offset += _POSITION.size
-    return request_id, consumer_id, max_chunks, positions
+) -> tuple[int, int, int, int, list[FetchPosition]]:
+    """``(request_id, consumer_id, max_chunks, max_wait_ms, positions)``."""
+    try:
+        request_id, consumer_id, max_chunks, max_wait_ms, npositions = (
+            _FETCH_HEAD.unpack_from(payload, 0)
+        )
+        offset = _FETCH_HEAD.size
+        positions: list[FetchPosition] = []
+        for _ in range(npositions):
+            positions.append(_unpack_position(payload, offset))
+            offset += _POSITION.size
+    except struct.error as exc:
+        raise GatewayError(f"truncated GW_FETCH payload: {exc}") from None
+    return request_id, consumer_id, max_chunks, max_wait_ms, positions
 
 
 def encode_fetch_ok(

@@ -7,9 +7,18 @@ connections heading to the same broker into one ``ProduceRequest``,
 submits it via :meth:`LiveKeraCluster.submit_produce`, and resolves each
 covered request's future back on the loop (``call_soon_threadsafe``) when
 the broker's completion callback fires — thousands of produces can be in
-flight with **zero parked threads**. Only genuinely blocking cluster
-calls (fetch, create-stream) still round-trip through the executor pool.
-Concurrency shape per connection:
+flight with **zero parked threads**. Fetch is **planned on the loop**:
+the broker cores live in this process and plan under a short mutex, so
+an empty response, or one made only of fan-out-cache hits, is planned,
+encoded and written without leaving the loop thread; a plan that must
+*admit* frames (the boundary CRC + decode of a cache miss) does that on
+a worker and comes back to the loop to write. A fetch that finds nothing
+and carries ``max_wait_ms`` **parks** — an ``asyncio`` future, no thread
+— until a chunk of one of its streamlets turns durable (the core's
+watcher registry wakes it), its deadline passes, a leader it waits on is
+fenced, or its connection closes; then it re-plans once and answers.
+Only create-stream and the coalescer's flushes still use the executor
+pool. Concurrency shape per connection:
 
 * the **reader coroutine** pulls frames and spawns one task per request —
   per-connection pipelining: a slow produce does not block the fetch
@@ -50,11 +59,18 @@ from repro.wire.netframe import (
 )
 from repro.gateway import protocol
 from repro.kera.live import LiveKeraCluster
-from repro.kera.messages import ProduceResponse
+from repro.kera.messages import FetchPosition, FetchResponse, ProduceResponse
 from repro.wire.chunk import Chunk
 
-#: Threads for blocking cluster calls (fetch, create-stream) and lane flushes.
+#: Threads for blocking cluster calls (create-stream), lane flushes and
+#: fetch cache admissions.
 _EXECUTOR_WORKERS = 16
+
+#: Longest a fetch may park, whatever ``max_wait_ms`` it asked for.
+_MAX_FETCH_WAIT_S = 30.0
+
+#: How a parked fetch was resolved.
+_WOKEN, _EXPIRED, _DROPPED = "woken", "expired", "dropped"
 
 #: Monotonic counters a gateway maintains; reads aggregate across shards.
 _STAT_FIELDS = (
@@ -68,6 +84,9 @@ _STAT_FIELDS = (
     "chunks_out",
     "produce_batches",
     "produce_batched_chunks",
+    "fetches_parked",
+    "fetch_wakeups",
+    "fetch_timeouts",
 )
 
 
@@ -90,7 +109,10 @@ class GatewayStats:
     reads aggregate across shards. Counters are monotonic per shard, so a
     read concurrent with writers is just slightly stale, never torn; a
     shard outlives its thread (the registry keeps a strong reference), so
-    counts are never lost.
+    counts are never lost. ``connections_open`` and ``fetches_parked`` are
+    gauges kept the same way (+1/−1); every fetch that parked ends as one
+    ``fetch_wakeups`` (durability or fence) or one ``fetch_timeouts``,
+    unless its connection went away first.
 
     The one genuinely shared datum — the ``inflight_produces`` gauge for
     the completion-driven produce path — goes up and down, so it keeps a
@@ -358,6 +380,26 @@ class _ProduceCoalescer:
                 pass
 
 
+class _Connection:
+    """What the requests of one client connection share."""
+
+    __slots__ = ("handler", "writer", "write_lock", "tasks", "parked")
+
+    def __init__(self, writer: asyncio.StreamWriter) -> None:
+        self.handler = asyncio.current_task()
+        self.writer = writer
+        self.write_lock = asyncio.Lock()
+        self.tasks: set[asyncio.Task[None]] = set()
+        #: Futures of this connection's parked fetches.
+        self.parked: set["asyncio.Future[str]"] = set()
+
+    def drop_parked(self) -> None:
+        """Resolve every parked fetch unanswered: nobody is left to read
+        the reply, and a dead connection must not wait out ``max_wait``."""
+        for waiter in self.parked:
+            _resolve(waiter, _DROPPED)
+
+
 class GatewayServer:
     """Fronts a live cluster with an asyncio TCP endpoint."""
 
@@ -378,6 +420,7 @@ class GatewayServer:
             max_workers=_EXECUTOR_WORKERS, thread_name_prefix="gateway-call"
         )
         self._coalescer = _ProduceCoalescer(self)
+        self._connections: set[_Connection] = set()  # loop thread only
         self._loop: asyncio.AbstractEventLoop | None = None
         self._thread: threading.Thread | None = None
         self._server: asyncio.Server | None = None
@@ -447,6 +490,14 @@ class GatewayServer:
             await self._stop.wait()
         finally:
             self._server.close()
+            open_connections = list(self._connections)
+            for conn in open_connections:
+                # Parked fetches must not hold shutdown up; closing the
+                # transport ends the reader coroutine with EOF.
+                conn.drop_parked()
+                conn.writer.close()
+            if open_connections:
+                await asyncio.wait([c.handler for c in open_connections], timeout=2.0)
             await self._server.wait_closed()
 
     # -- per-connection ------------------------------------------------------
@@ -456,8 +507,8 @@ class GatewayServer:
     ) -> None:
         self.stats.bump(connections_accepted=1, connections_open=1)
         loop = asyncio.get_running_loop()
-        tasks: set[asyncio.Task[None]] = set()
-        write_lock = asyncio.Lock()
+        conn = _Connection(writer)
+        self._connections.add(conn)
         try:
             while True:
                 record = await read_frame_async(
@@ -475,16 +526,18 @@ class GatewayServer:
                 # One task per request: pipelining. The payload is owned
                 # bytes (readexactly), so tasks never alias a shared
                 # receive buffer.
-                task = loop.create_task(
-                    self._serve_request(kind, payload, writer, write_lock)
-                )
-                tasks.add(task)
-                task.add_done_callback(tasks.discard)
+                task = loop.create_task(self._serve_request(kind, payload, conn))
+                conn.tasks.add(task)
+                task.add_done_callback(conn.tasks.discard)
         except (FrameProtocolError, ConnectionError, asyncio.IncompleteReadError):
             pass  # garbage or mid-frame drop: this connection only
         finally:
-            if tasks:
-                await asyncio.gather(*tasks, return_exceptions=True)
+            self._connections.discard(conn)
+            # Parked fetches go first: the gather below must not hold a
+            # dead connection for their max_wait.
+            conn.drop_parked()
+            if conn.tasks:
+                await asyncio.gather(*conn.tasks, return_exceptions=True)
             writer.close()
             try:
                 await writer.wait_closed()
@@ -498,27 +551,19 @@ class GatewayServer:
                 pass
             self.stats.bump(connections_open=-1)
 
-    async def _serve_request(
-        self,
-        kind: int,
-        payload: bytes,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-    ) -> None:
-        loop = asyncio.get_running_loop()
+    async def _serve_request(self, kind: int, payload: bytes, conn: _Connection) -> None:
         try:
             request_id = protocol.peek_request_id(payload)
         except struct.error:
             return  # not even a request id: nothing to address a reply to
         try:
             if kind == protocol.GW_FETCH:
-                out_kind, parts = await loop.run_in_executor(
-                    self._executor, self._do_fetch, payload
-                )
+                reply = await self._do_fetch(payload, conn)
+                if reply is None:
+                    return  # dropped while parked: the connection is gone
+                out_kind, parts = reply
             elif kind == protocol.GW_CREATE_STREAM:
-                out_kind, parts = await loop.run_in_executor(
-                    self._executor, self._do_create_stream, payload
-                )
+                out_kind, parts = await self._on_worker(self._do_create_stream, payload)
             elif kind == protocol.GW_META:
                 out_kind, parts = self._do_meta(payload)
             else:
@@ -527,12 +572,17 @@ class GatewayServer:
             self.stats.bump(errors_returned=1)
             out_kind, parts = protocol.GW_ERROR, protocol.encode_error(request_id, exc)
         self.stats.bump(requests_served=1)
-        async with write_lock:
+        async with conn.write_lock:
             # Parts land contiguously in the writer's buffer; the drain
             # inside the lock applies the transport's backpressure to
             # this response's writer task without interleaving frames.
-            write_frame_async(writer, out_kind, parts)
-            await writer.drain()
+            write_frame_async(conn.writer, out_kind, parts)
+            await conn.writer.drain()
+
+    def _on_worker(self, fn: Any, *args: Any) -> "asyncio.Future[Any]":
+        """Run blocking or CPU-heavy ``fn`` on the executor pool; await
+        the result from the loop."""
+        return asyncio.wrap_future(self._executor.submit(fn, *args))
 
     # -- produce path (completion-driven) -------------------------------------
 
@@ -608,17 +658,33 @@ class GatewayServer:
         else:
             greq.future.set_result(greq.assignments)
 
-    # -- request handlers (executor threads) ---------------------------------
+    # -- fetch path (planned on the loop, parks without a thread) ---------------
 
-    def _do_fetch(self, payload: bytes) -> tuple[int, list[Any]]:
-        request_id, consumer_id, max_chunks, positions = protocol.decode_fetch(payload)
-        self.stats.bump(fetch_requests=1)
-        responses = self.cluster.fetch(
-            positions,
-            consumer_id=consumer_id,
-            max_chunks_per_entry=max_chunks,
-            serve_views=True,
+    async def _do_fetch(
+        self, payload: bytes, conn: _Connection
+    ) -> tuple[int, list[Any]] | None:
+        request_id, consumer_id, max_chunks, max_wait_ms, positions = (
+            protocol.decode_fetch(payload)
         )
+        self.stats.bump(fetch_requests=1)
+        wait = min(max_wait_ms / 1000.0, _MAX_FETCH_WAIT_S)
+        # The waiter doubles as the watch token: if every leader plans
+        # empty, each core has registered it in the same critical section
+        # as its plan, so no chunk turns durable unseen before we park.
+        waiter: "asyncio.Future[str] | None" = None
+        if wait > 0:
+            waiter = asyncio.get_running_loop().create_future()
+        try:
+            responses = self._plan_fetch(consumer_id, max_chunks, positions, waiter)
+            if waiter is not None and not any(r.chunk_count for r in responses):
+                if await self._park(waiter, wait, conn) == _DROPPED:
+                    return None
+                responses = self._plan_fetch(consumer_id, max_chunks, positions, None)
+        finally:
+            if waiter is not None:
+                self.cluster.unwatch(waiter)
+        if any(r.admit is not None for r in responses):
+            responses = await self._on_worker(_admit, responses)
         entries = []
         nchunks = 0
         for response in responses:
@@ -628,6 +694,59 @@ class GatewayServer:
                 entries.append((entry.position, entry.next_position, frames))
         self.stats.bump(chunks_out=nchunks)
         return protocol.GW_FETCH_OK, protocol.encode_fetch_ok(request_id, entries)
+
+    def _plan_fetch(
+        self,
+        consumer_id: int,
+        max_chunks: int,
+        positions: list[FetchPosition],
+        waiter: "asyncio.Future[str] | None",
+    ) -> list[FetchResponse]:
+        """One planning pass over the leaders, on the loop thread; cache
+        misses come back unserved (``response.admit``)."""
+        return self.cluster.fetch(
+            positions,
+            consumer_id=consumer_id,
+            max_chunks_per_entry=max_chunks,
+            serve_views=True,
+            defer_admission=True,
+            watch=None if waiter is None else (self._on_durable, waiter),
+        )
+
+    async def _park(
+        self, waiter: "asyncio.Future[str]", wait: float, conn: _Connection
+    ) -> str:
+        """Hold a fetch that found nothing until its waiter resolves: a
+        durability (or fence) notification, the deadline, or the
+        connection closing. Returns which."""
+        deadline = asyncio.get_running_loop().call_later(
+            wait, _resolve, waiter, _EXPIRED
+        )
+        conn.parked.add(waiter)
+        self.stats.bump(fetches_parked=1)
+        try:
+            outcome = await waiter
+        finally:
+            deadline.cancel()
+            conn.parked.discard(waiter)
+            self.stats.bump(fetches_parked=-1)
+        if outcome == _WOKEN:
+            self.stats.bump(fetch_wakeups=1)
+        elif outcome == _EXPIRED:
+            self.stats.bump(fetch_timeouts=1)
+        return outcome
+
+    def _on_durable(self, waiters: list[Any]) -> None:
+        """The cores' watch notification (shipper / transport threads):
+        one loop callback for everything a completed batch woke."""
+        loop = self._loop
+        assert loop is not None
+        try:
+            loop.call_soon_threadsafe(_resolve_all, waiters)
+        except RuntimeError:  # loop closed mid-shutdown: nobody is parked
+            pass
+
+    # -- request handlers -----------------------------------------------------
 
     def _do_create_stream(self, payload: bytes) -> tuple[int, list[Any]]:
         request_id, stream_id, num_streamlets = protocol.decode_create_stream(payload)
@@ -644,3 +763,18 @@ class GatewayServer:
             config.chunk_size,
             list(metadata.streamlet_ids),
         )
+
+
+def _resolve(waiter: "asyncio.Future[str]", outcome: str) -> None:
+    if not waiter.done():
+        waiter.set_result(outcome)
+
+
+def _resolve_all(waiters: list["asyncio.Future[str]"]) -> None:
+    for waiter in waiters:
+        _resolve(waiter, _WOKEN)
+
+
+def _admit(responses: list[FetchResponse]) -> list[FetchResponse]:
+    """Worker side of a fetch with cache misses: admit the deferred plans."""
+    return [r if r.admit is None else r.admit() for r in responses]

@@ -28,7 +28,7 @@ from repro.replication.config import ReplicationConfig
 from repro.replication.manager import ReplicationManager
 from repro.replication.virtual_log import ReplicationBatch, VirtualLog
 from repro.storage.config import StorageConfig
-from repro.storage.fancache import FanoutCache
+from repro.storage.fancache import CacheKey, FanoutCache
 from repro.storage.memory import SegmentAllocator
 from repro.storage.offsets import StreamletCursor
 from repro.storage.segment import StoredChunk
@@ -43,9 +43,21 @@ from repro.kera.messages import (
     FetchResponse,
     ProduceRequest,
     ProduceResponse,
+    WatchNotify,
 )
 
 RequestDoneCallback = Callable[[int], None]
+
+
+def _cache_key(pos: FetchPosition, stored: StoredChunk) -> CacheKey:
+    """A stored chunk's fan-out cache key. The chunk component is its
+    base record offset within its group — unique and stable in append
+    order, and O(1) to derive from the stored-chunk reference."""
+    return (
+        (pos.stream_id, pos.streamlet_id, pos.entry),
+        stored.group_id,
+        stored.base_record_offset,
+    )
 
 
 @dataclass
@@ -115,6 +127,14 @@ class KeraBrokerCore:
         # and that a request's waiters are registered before any of its
         # durability events can be observed.
         self._mutex = threading.RLock()
+        # Durability watchers (long-poll fetches): (stream, streamlet) ->
+        # token -> notify. Plain callables — a driver brings its own event
+        # loop and deadline; this module holds neither.
+        self._watchers: dict[tuple[int, int], dict[object, WatchNotify]] = {}  # guarded-by: _mutex
+        self._watched: dict[object, list[tuple[int, int]]] = {}  # guarded-by: _mutex
+        # Tokens woken since the last flush, per notify callable (a set: a
+        # batch of several chunks wakes a token once).
+        self._woken: dict[WatchNotify, set[object]] = {}  # guarded-by: _mutex
         # Stats.
         self.records_ingested = 0
         self.chunks_ingested = 0
@@ -150,7 +170,9 @@ class KeraBrokerCore:
 
     def handle_produce(self, request: ProduceRequest) -> ProduceOutcome:
         with self._mutex:
-            return self._handle_produce(request)
+            outcome = self._handle_produce(request)
+        self._flush_wakes()  # R=1: chunks turn durable inside the append
+        return outcome
 
     def _handle_produce(self, request: ProduceRequest) -> ProduceOutcome:
         outcome = ProduceOutcome(
@@ -238,6 +260,9 @@ class KeraBrokerCore:
                 self._last_durable_seq[key3] = stored.chunk_seq
             key4 = key3 + (stored.chunk_seq,)
             self._inflight.pop(key4, None)
+            if self._watchers:  # nobody long-polls: the produce path pays this test
+                for token, notify in self._watchers.get(key3[:2], {}).items():
+                    self._woken.setdefault(notify, set()).add(token)
             completed: list[int] = []
             for request_id in self._chunk_waiters.pop(key4, ()):
                 remaining = self._request_remaining.get(request_id)
@@ -255,6 +280,65 @@ class KeraBrokerCore:
             for request_id in completed:
                 self.on_request_complete(request_id)
 
+    # -- durability watchers -------------------------------------------------------
+
+    def watch(
+        self, streamlets: Iterable[tuple[int, int]], notify: WatchNotify, token: object
+    ) -> None:
+        """Call ``notify([token, ...])`` whenever a chunk of one of the
+        ``(stream, streamlet)`` pairs turns durable, until :meth:`unwatch`.
+
+        ``notify`` runs on whatever thread completed the replication
+        batch, outside the core mutex, once per batch with every token of
+        that callable the batch woke — it must only hand off (a long-poll
+        front end posts one event-loop callback). A fetch that asks for a
+        watch registers it in the same critical section that planned it
+        empty (:meth:`handle_fetch`), so no chunk can turn durable unseen
+        between the two."""
+        keys = list(streamlets)
+        with self._mutex:
+            self._watched[token] = keys
+            for key in keys:
+                self._watchers.setdefault(key, {})[token] = notify
+
+    def unwatch(self, token: object) -> None:
+        """Drop ``token``'s watch (idempotent; unknown tokens are fine).
+        Call it from the thread that registered the token: the unlocked
+        membership probe keeps a never-registered token off the mutex."""
+        if token not in self._watched:
+            return
+        with self._mutex:
+            for key in self._watched.pop(token, ()):
+                watchers = self._watchers.get(key)
+                if watchers is not None:
+                    watchers.pop(token, None)
+                    if not watchers:
+                        del self._watchers[key]
+
+    def wake_watchers(self) -> None:
+        """Wake every watcher now (the node is being fenced: whoever
+        waits here must re-route instead of sitting out its deadline)."""
+        with self._mutex:
+            for watchers in self._watchers.values():
+                for token, notify in watchers.items():
+                    self._woken.setdefault(notify, set()).add(token)
+        self._flush_wakes()
+
+    def watcher_count(self) -> int:
+        """Registered watch tokens (gauge; zero once every long-poll left)."""
+        with self._mutex:
+            return len(self._watched)
+
+    def _flush_wakes(self) -> None:
+        """Deliver what the durability step that just ended woke: one
+        call per notify callable, outside the mutex."""
+        if not self._woken:
+            return
+        with self._mutex:
+            woken, self._woken = self._woken, {}
+        for notify, tokens in woken.items():
+            notify(list(tokens))
+
     # -- replication driver interface -----------------------------------------------
 
     def collect_batches(self) -> list[ReplicationBatch]:
@@ -270,7 +354,9 @@ class KeraBrokerCore:
 
     def complete_batch(self, batch: ReplicationBatch) -> list[StoredChunk]:
         with self._mutex:
-            return self.manager.complete_batch(batch)
+            durable = self.manager.complete_batch(batch)
+        self._flush_wakes()
+        return durable
 
     def abort_batch(self, batch: ReplicationBatch) -> None:
         """Un-issue a collected batch so its chunks re-ship later."""
@@ -291,12 +377,47 @@ class KeraBrokerCore:
         """
         with self._mutex:
             plans = self._plan_fetch(request)
+            if request.watch is not None and not any(p[1] for p in plans):
+                notify, token = request.watch
+                self.watch(
+                    {(p.stream_id, p.streamlet_id) for p in request.positions},
+                    notify,
+                    token,
+                )
+        if request.serve_views and request.defer_admission and self._has_miss(plans):
+            return FetchResponse(
+                request_id=request.request_id,
+                entries=[
+                    FetchEntry(position=pos, chunks=stored, next_position=nxt)  # type: ignore[arg-type]
+                    for pos, stored, nxt in plans
+                ],
+                admit=lambda: self._serve_fetch(request, plans),
+            )
+        return self._serve_fetch(request, plans)
+
+    def _has_miss(
+        self, plans: list[tuple[FetchPosition, list[StoredChunk], FetchPosition]]
+    ) -> bool:
+        """Would serving ``plans`` as views admit a frame (boundary CRC +
+        record decode), or is every chunk a fan-out cache hit?"""
+        return any(
+            self.fancache.peek(_cache_key(pos, stored)) is None
+            for pos, stored_chunks, _ in plans
+            for stored in stored_chunks
+        )
+
+    def _serve_fetch(
+        self,
+        request: FetchRequest,
+        plans: list[tuple[FetchPosition, list[StoredChunk], FetchPosition]],
+    ) -> FetchResponse:
+        """Turn planned chunk runs into the response form the request
+        asked for. Lock-free: durable bytes are immutable."""
         entries: list[FetchEntry] = []
         for pos, stored_chunks, next_position in plans:
             chunks: list[Chunk] | list[ChunkView]
             if request.serve_views:
-                vlog = (pos.stream_id, pos.streamlet_id, pos.entry)
-                chunks = [self._serve_view(vlog, s) for s in stored_chunks]
+                chunks = [self._serve_view(pos, s) for s in stored_chunks]
             elif self.zero_copy_fetch:
                 chunks = stored_chunks  # type: ignore[assignment]
             else:
@@ -340,18 +461,15 @@ class KeraBrokerCore:
             )
         return plans
 
-    def _serve_view(self, vlog: tuple[int, int, int], stored: StoredChunk) -> ChunkView:
+    def _serve_view(self, pos: FetchPosition, stored: StoredChunk) -> ChunkView:
         """Decode-ready view of a stored chunk via the fan-out cache.
 
-        The cache key's chunk component is the chunk's base record offset
-        within its group — unique and stable in append order, and O(1) to
-        derive from the stored-chunk reference. A miss admits the frame
-        once: CRC re-validation at the serving boundary (the established
-        discipline for bytes crossing out of the storage engine) plus one
-        record pre-decode shared by every later consumer.
+        A miss admits the frame once: CRC re-validation at the serving
+        boundary (the established discipline for bytes crossing out of
+        the storage engine) plus one record pre-decode shared by every
+        later consumer.
         """
-        key = (vlog, stored.group_id, stored.base_record_offset)
-        return self.fancache.get(key, stored.encoded_view)
+        return self.fancache.get(_cache_key(pos, stored), stored.encoded_view)
 
     def retire_before(
         self, stream_id: int, streamlet_id: int, entry: int, record_offset: int

@@ -14,7 +14,10 @@ one :class:`BrokerService` bound to ``(node, "broker")``, and a produce
 completes one way: the service appends and kicks replication, and
 ``submit_produce`` fires the caller's ``on_complete`` off the runtime's
 :class:`CompletionTracker` when the last chunk is durable — no handler
-thread waits for an ack. The backup side is one
+thread waits for an ack. A fetch does not ride the transport: the
+cores live in the caller's process and serve lock-free, so
+:meth:`LiveKeraCluster.fetch` calls each leader's service on the calling
+thread. The backup side is one
 :class:`~repro.kera.backup_service.BackupService` bound to ``(node,
 "backup")``, so every operator method below is a single
 ``transport.call``. Between them runs one
@@ -54,6 +57,7 @@ from repro.kera.messages import (
     FetchResponse,
     ProduceRequest,
     ProduceResponse,
+    WatchNotify,
 )
 from repro.wire.chunk import Chunk
 
@@ -150,9 +154,11 @@ class BrokerService(LiveService):
 
     def fence(self) -> None:
         """Stop serving: every subsequent request gets a typed routing
-        error. One-way — a fenced broker never comes back under the same
+        error, and every fetch parked on this core is woken to collect
+        one. One-way — a fenced broker never comes back under the same
         identity (its streamlets move to survivors)."""
         self._fenced = True
+        self.core.wake_watchers()
 
     def fence_streamlet(self, stream_id: int, streamlet_id: int) -> None:
         """Refuse produces to one streamlet (it is moving away). On
@@ -206,7 +212,15 @@ class BrokerService(LiveService):
             self.cluster.shipper(self.node_id).kick()
             return outcome
         if method == "fetch":
-            return self.core.handle_fetch(request)
+            response = self.core.handle_fetch(request)
+            if self._fenced and request.watch is not None:
+                # Fenced while planning: a watch registered after fence()
+                # woke the others would sit out its deadline unseen.
+                self.core.unwatch(request.watch[1])
+                raise self._refusal(
+                    request.positions[0].stream_id, request.positions[0].streamlet_id
+                )
+            return response
         raise ConfigError(f"unknown broker method {method!r}")
 
     def _append(self, request: ProduceRequest) -> object:
@@ -582,8 +596,21 @@ class LiveKeraCluster:
         consumer_id: int,
         max_chunks_per_entry: int = 16,
         serve_views: bool = False,
+        defer_admission: bool = False,
+        watch: tuple[WatchNotify, object] | None = None,
     ) -> list[FetchResponse]:
-        """Fetch durable chunks, grouping positions by leader."""
+        """Fetch durable chunks, grouping positions by leader.
+
+        Each leader's :class:`BrokerService` is called on *this* thread:
+        broker cores live in the caller's process on every driver and
+        ``handle_fetch`` is safe from any thread (plan under the core
+        mutex, serve lock-free), so a fetch costs no transport round
+        trip; the fence check stays because the call goes through the
+        service. ``defer_admission`` and ``watch`` ride in each
+        :class:`FetchRequest` (see there); a caller that passed ``watch``
+        owes an :meth:`unwatch` of its token once it stops waiting —
+        including when this call raises.
+        """
         responses = []
         for broker_id, group in self._by_leader(positions).items():
             request = FetchRequest(
@@ -592,18 +619,16 @@ class LiveKeraCluster:
                 positions=group,
                 max_chunks_per_entry=max_chunks_per_entry,
                 serve_views=serve_views,
+                defer_admission=defer_admission,
+                watch=watch,
             )
-            responses.append(
-                self.transport.call(
-                    CLIENT_NODE,
-                    broker_id,
-                    "broker",
-                    "fetch",
-                    request,
-                    request.payload_bytes(),
-                )
-            )
+            responses.append(self._broker_services[broker_id].handle("fetch", request))
         return responses
+
+    def unwatch(self, token: object) -> None:
+        """Drop a long-poll's durability watch from every broker core."""
+        for core in self.brokers.values():
+            core.unwatch(token)
 
     # -- failover plane hooks ----------------------------------------------------------------
 

@@ -13,10 +13,15 @@ attribute write raises instead of silently forking state.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro.wire.chunk import Chunk
 from repro.wire.views import ChunkView
+
+#: ``notify(tokens)``: the watch tokens one durability step woke, in one
+#: call per registered callable (``KeraBrokerCore.watch``).
+WatchNotify = Callable[[list[object]], None]
 
 #: Wire overhead per request beyond its chunks (ids, counts).
 _REQUEST_HEADER_BYTES = 32
@@ -109,6 +114,17 @@ class FetchRequest:
     positions: list[FetchPosition]
     max_chunks_per_entry: int = 1
     serve_views: bool = False
+    #: With ``serve_views``: a plan holding a chunk the fan-out cache does
+    #: not have comes back unserved (:attr:`FetchResponse.admit`) instead
+    #: of paying the boundary CRC + decode on the calling thread — the
+    #: gateway plans on its event loop and admits on a worker.
+    defer_admission: bool = False
+    #: ``(notify, token)`` of a long-poll: when every position plans
+    #: empty the broker core registers the token as a durability watcher
+    #: of the request's streamlets, atomically with the plan (see
+    #: :meth:`~repro.kera.broker.KeraBrokerCore.watch`). Live drivers
+    #: only — the request never leaves the caller's address space.
+    watch: tuple[WatchNotify, object] | None = None
 
     def payload_bytes(self) -> int:
         return _REQUEST_HEADER_BYTES + _POSITION_BYTES * len(self.positions)
@@ -137,6 +153,11 @@ class FetchEntry:
 class FetchResponse:
     request_id: int
     entries: list[FetchEntry]
+    #: Set on the answer to a ``defer_admission`` request whose plan has a
+    #: cache miss: ``entries`` then hold the planned stored-chunk
+    #: references, and calling this (off the latency-critical thread)
+    #: admits the frames and returns the served response.
+    admit: Callable[[], "FetchResponse"] | None = None
 
     def payload_bytes(self) -> int:
         total = _REQUEST_HEADER_BYTES

@@ -146,7 +146,8 @@ class FanoutCache:
     # -- control plane -------------------------------------------------------
 
     def peek(self, key: CacheKey) -> ChunkView | None:
-        """Non-admitting, non-LRU-touching probe (tests)."""
+        """Non-admitting, non-LRU-touching probe (tests, and the broker's
+        would-this-fetch-admit check)."""
         with self._lock:
             return self._entries.get(key)
 

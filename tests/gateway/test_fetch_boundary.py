@@ -284,6 +284,20 @@ def test_every_strict_prefix_of_a_meta_response_raises_a_typed_error():
             protocol.decode_meta_ok(prefix)
 
 
+def test_every_strict_prefix_of_a_fetch_request_raises_a_typed_error():
+    positions = [
+        FetchPosition(stream_id=1, streamlet_id=s, entry=s % 2, group_pos=s, chunk_pos=3)
+        for s in range(3)
+    ] + [FetchPosition(stream_id=1, streamlet_id=9, entry=0, seek_record=77)]
+    payload = b"".join(protocol.encode_fetch(5, 7, positions, 16, 250))
+    assert protocol.decode_fetch(payload) == (5, 7, 16, 250, positions)
+    # The wait rides in the request; a caller that names none asks for none.
+    assert protocol.decode_fetch(b"".join(protocol.encode_fetch(5, 7, positions, 16)))[3] == 0
+    for prefix in prefixes(payload):
+        with pytest.raises(GatewayError, match="truncated GW_FETCH payload"):
+            protocol.decode_fetch(prefix)
+
+
 def test_declared_frame_length_must_match_the_decoded_chunk():
     payload = bytearray(response([[chunk_of(uniform_records(8, 1), 0)]]))
     (frame,) = frame_offsets(payload)

@@ -21,7 +21,7 @@ from repro.gateway import AsyncConsumer, AsyncGatewayClient, AsyncProducer, Gate
 from repro.gateway.protocol import GatewayError, decode_error, encode_error
 from repro.replication.config import ReplicationConfig
 from repro.storage.config import StorageConfig
-from repro.kera import KeraConfig, ThreadedKeraCluster
+from repro.kera import KeraConfig, SocketKeraCluster, ThreadedKeraCluster
 
 
 # -- decode_error: the wire -> typed exception promotion ---------------------------
@@ -172,3 +172,95 @@ def test_pipelined_producer_survives_broker_kill_zero_acked_loss():
                         assert not dupes, f"duplicated: {sorted(dupes)[:10]}"
 
                 asyncio.run(run())
+
+
+# -- a long-polling consumer across a kill -> recover cycle ------------------------
+
+
+def test_long_polling_consumer_rides_through_kill_and_recovery():
+    """A fetch parked on a broker that dies is answered by the fence (a
+    typed routing error, or data from the new leader once routing
+    flipped) — never left to sit out ``max_wait`` — and the consumer's
+    cursors carry on across the move: nothing lost, nothing twice, each
+    (streamlet, entry) in order."""
+    streamlets, per_phase, long_wait = 4, 30, 15.0
+    with SocketKeraCluster(_config()) as cluster:
+        with GatewayServer(cluster) as server:
+            with FailoverPlane(cluster, heartbeat_interval=0.05) as plane:
+                host, port = server.address()
+                stats = server.stats
+                acked: list[bytes] = []
+                seen: list[tuple[int, int, bytes]] = []
+                refused = 0
+
+                async def produce(producers, phase):
+                    for pid, producer in enumerate(producers):
+                        for i in range(per_phase):
+                            producer.send(b"%d-%d-%d" % (pid, phase, i), streamlet_id=pid)
+                    await asyncio.gather(*(p.flush() for p in producers))
+                    acked.extend(
+                        b"%d-%d-%d" % (pid, phase, i)
+                        for pid in range(streamlets)
+                        for i in range(per_phase)
+                    )
+
+                async def consume(consumer, total):
+                    nonlocal refused
+                    while len(seen) < total:
+                        try:
+                            chunks = await consumer.poll_chunks(max_wait=long_wait)
+                        except (NotLeaderError, RetriableRpcError):
+                            refused += 1  # mid-failover: back off, poll again
+                            await asyncio.sleep(0.02)
+                            continue
+                        for chunk in chunks:
+                            entry = chunk.producer_id % 2
+                            seen.extend(
+                                (chunk.streamlet_id, entry, r.value) for r in chunk.records()
+                            )
+
+                async def run():
+                    producing = await AsyncGatewayClient.connect(host, port)
+                    consuming = await AsyncGatewayClient.connect(host, port)
+                    await producing.create_stream(0, streamlets)
+                    producers = [
+                        await AsyncProducer.open(
+                            producing, pid, stream_id=0, retries=10, retry_backoff_s=0.05
+                        )
+                        for pid in range(streamlets)
+                    ]
+                    consumer = await AsyncConsumer.open(consuming, 999, stream_id=0)
+                    tail = asyncio.ensure_future(consume(consumer, 2 * streamlets * per_phase))
+                    await produce(producers, 0)
+                    # Caught up and parked — on every leader, the victim included.
+                    deadline = time.monotonic() + 10.0
+                    while not (len(seen) == len(acked) and stats.fetches_parked == 1):
+                        assert time.monotonic() < deadline
+                        await asyncio.sleep(0.002)
+                    resolved = stats.fetch_wakeups + stats.fetch_timeouts
+                    victim = cluster.leader_of(0, 0)
+                    killed = time.monotonic()
+                    assert kill_node(cluster, victim) == "sigkill"
+                    while stats.fetch_wakeups + stats.fetch_timeouts == resolved:
+                        assert time.monotonic() - killed < long_wait / 2, (
+                            "the fetch parked on the dead broker was never woken"
+                        )
+                        await asyncio.sleep(0.002)
+                    assert plane.wait_recovered(victim, timeout=20.0)
+                    await produce(producers, 1)
+                    await asyncio.wait_for(tail, timeout=long_wait)
+                    for producer in producers:
+                        await producer.close()
+                    await producing.close()
+                    await consuming.close()
+
+                asyncio.run(run())
+                assert stats.fetch_timeouts == 0
+                values = [value for _, _, value in seen]
+                assert sorted(values) == sorted(acked)  # zero lost, zero duplicated
+                for key in {(s, e) for s, e, _ in seen}:
+                    order = [
+                        tuple(map(int, v.split(b"-")[1:])) for s, e, v in seen if (s, e) == key
+                    ]
+                    assert order == sorted(order), f"(streamlet, entry) {key} reordered"
+                assert sum(c.watcher_count() for c in cluster.brokers.values()) == 0
