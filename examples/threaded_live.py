@@ -1,10 +1,11 @@
 """Threaded live mode: concurrent producers over real worker threads.
 
 Runs the same end-to-end byte path as the quickstart, but on
-:class:`repro.kera.ThreadedKeraCluster`: every node's broker and backup
-services execute on their own worker threads behind bounded request
-queues, push replication runs on per-broker shipper threads, and several
-producer threads flush concurrently — the configuration that exercises
+:class:`repro.kera.ThreadedKeraCluster`: several producer threads flush
+concurrently, each appending and shipping its own produce (whoever finds
+the broker's one ship loop free pumps it), and every node's backup
+service executes on a worker thread behind a bounded request queue — the
+configuration that exercises
 the sans-IO cores under real contention. At the end every acked record is
 read back and verified exactly once, and wall-clock throughput is
 reported (measured with the thread-safe ThroughputMeter the producer

@@ -109,8 +109,8 @@ PROTOCOLS: dict[str, dict[str, MethodSpec]] = {
     # spec holds them still even though the class derives only Thread.
     "PipelinedShipper": {
         "kick": MethodSpec(()),
-        # One turn of the ship loop: what `kick` runs inline on a driver
-        # that starts no shipper thread, and what the thread runs.
+        # The ship loop's turns: what `kick` runs on the appending thread
+        # when no pump is running, and what the shipper's thread runs.
         "pump": MethodSpec(()),
         "stop": MethodSpec(()),
         "in_flight_batches": MethodSpec(()),
@@ -118,8 +118,9 @@ PROTOCOLS: dict[str, dict[str, MethodSpec]] = {
     # The live cluster's produce surface, pinned by name: the gateway's
     # coalescer and every driver's client path call through exactly
     # these — `produce_async`/`submit_produce` are the completion-driven
-    # contract (no caller thread blocks; `on_complete(response, error)`
-    # fires exactly once; `on_append` is the pipelining order token), so
+    # contract (no thread waits for an ack; `on_complete(response,
+    # error)` fires exactly once; `on_append` fires when the append and
+    # the caller's pump turn are over — as the call then returns), so
     # a driver that drifts from this shape silently breaks the async
     # front door. Subclasses inherit rather than override, but if one
     # does override it must keep the shape.

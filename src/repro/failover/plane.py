@@ -98,8 +98,8 @@ class FailoverPlane:
     # -- entry points -------------------------------------------------------
 
     def note_node_failure(self, node_id: int, error: BaseException) -> bool:
-        """A survivor's replicate RPC to ``node_id`` failed (transport or
-        shipper thread). Claim the node: fence it so nothing else routes
+        """A survivor's replicate RPC to ``node_id`` failed (whichever
+        thread pumps). Claim the node: fence it so nothing else routes
         there, and hand the detector the verdict. Returns True — the
         caller (the shipper) repairs and continues instead of dying."""
         self.cluster.fence_node(node_id)

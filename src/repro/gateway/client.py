@@ -297,6 +297,9 @@ class AsyncProducer:
         # chunk's capacity; the drain spills across chunks as it encodes.
         self._pending: dict[int, list[Record | bytes]] = {}
         self._pending_bytes: dict[int, int] = {}
+        # Streamlets with staged records or a non-empty builder: the only
+        # ones a flush or a linger has anything to seal.
+        self._dirty: set[int] = set()
         self._seqs: dict[int, itertools.count] = {}
         self._ready: list[Chunk] = []
         self._sem = asyncio.Semaphore(max_inflight) if max_inflight > 1 else None
@@ -397,16 +400,10 @@ class AsyncProducer:
             self._seal(streamlet_id)
         self._pending[streamlet_id].append(record)
         self._pending_bytes[streamlet_id] += size
+        self._dirty.add(streamlet_id)
         if self._sem is not None:
             self._maybe_ship()
-            if (
-                self.linger_ms > 0
-                and self._linger_handle is None
-                and (
-                    any(self._pending_bytes.values())
-                    or any(not b.is_empty for b in self._builders.values())
-                )
-            ):
+            if self.linger_ms > 0 and self._linger_handle is None:
                 self._linger_handle = asyncio.get_running_loop().call_later(
                     self.linger_ms / 1000.0, self._linger_fire
                 )
@@ -443,16 +440,10 @@ class AsyncProducer:
         # for every chunk this batch produced.
         self._pending[streamlet_id].extend(values)
         self._pending_bytes[streamlet_id] += total
+        self._dirty.add(streamlet_id)
         if self._sem is not None:
             self._maybe_ship()
-            if (
-                self.linger_ms > 0
-                and self._linger_handle is None
-                and (
-                    any(self._pending_bytes.values())
-                    or any(not b.is_empty for b in self._builders.values())
-                )
-            ):
+            if self.linger_ms > 0 and self._linger_handle is None:
                 self._linger_handle = asyncio.get_running_loop().call_later(
                     self.linger_ms / 1000.0, self._linger_fire
                 )
@@ -528,6 +519,14 @@ class AsyncProducer:
         self._drain_pending(streamlet_id)
         if not self._builders[streamlet_id].is_empty:
             self._build_chunk(streamlet_id)
+        self._dirty.discard(streamlet_id)
+
+    def _seal_all(self) -> None:
+        """Seal every streamlet that holds anything, in builder-creation
+        order (what a scan of all builders did: frames are unchanged)."""
+        if self._dirty:
+            for streamlet_id in [s for s in self._builders if s in self._dirty]:
+                self._seal(streamlet_id)
 
     # -- pipelined shipping (max_inflight > 1) --------------------------------
 
@@ -555,8 +554,7 @@ class AsyncProducer:
 
     def _linger_fire(self) -> None:
         self._linger_handle = None
-        for streamlet_id in list(self._builders):
-            self._seal(streamlet_id)
+        self._seal_all()
         self._ship_now()
 
     async def _ship(self, chunks: list[Chunk]) -> list[ChunkAssignment]:
@@ -608,8 +606,7 @@ class AsyncProducer:
         if self._linger_handle is not None:
             self._linger_handle.cancel()
             self._linger_handle = None
-        for streamlet_id in list(self._builders):
-            self._seal(streamlet_id)
+        self._seal_all()
         if self._sem is not None:
             self._ship_now()
             tasks, self._ship_tasks = self._ship_tasks, []
@@ -649,6 +646,7 @@ class AsyncProducer:
             for builder in self._builders.values():
                 builder.close()
             self._builders.clear()
+            self._dirty.clear()
 
 
 class AsyncConsumer:

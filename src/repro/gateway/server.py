@@ -7,9 +7,12 @@ connections heading to the same broker into one ``ProduceRequest``,
 submits it via :meth:`LiveKeraCluster.submit_produce`, and resolves each
 covered request's future back on the loop (``call_soon_threadsafe``) when
 the broker's completion callback fires — thousands of produces can be in
-flight with **zero parked threads**. Fetch is **planned on the loop**:
-the broker cores live in this process and plan under a short mutex, so
-an empty response, or one made only of fan-out-cache hits, is planned,
+flight with **zero threads parked on an ack**. A lane's flush runs to
+completion on one executor thread — batched CRC, append, the ship loop's
+pump, the sends to the backups — and stays off the loop because it can
+block on replication credit or a full pipe. Fetch is **planned on the
+loop**: the broker cores live in this process and plan under a short
+mutex, so an empty response, or one made only of cache hits, is planned,
 encoded and written without leaving the loop thread; a plan that must
 *admit* frames (the boundary CRC + decode of a cache miss) does that on
 a worker and comes back to the loop to write. A fetch that finds nothing
@@ -103,16 +106,15 @@ class _StatShard:
 class GatewayStats:
     """Sharded gateway counters.
 
-    ``bump`` used to serialize every request from both the loop thread
-    and all executor threads through one lock; it now writes a per-thread
-    shard (``threading.local``) with no locking at all, and attribute
-    reads aggregate across shards. Counters are monotonic per shard, so a
-    read concurrent with writers is just slightly stale, never torn; a
-    shard outlives its thread (the registry keeps a strong reference), so
-    counts are never lost. ``connections_open`` and ``fetches_parked`` are
-    gauges kept the same way (+1/−1); every fetch that parked ends as one
-    ``fetch_wakeups`` (durability or fence) or one ``fetch_timeouts``,
-    unless its connection went away first.
+    ``bump`` writes a per-thread shard (``threading.local``) with no
+    locking at all — the loop and the executor threads never contend —
+    and attribute reads aggregate across shards. Counters are monotonic
+    per shard, so a read concurrent with writers is just slightly stale,
+    never torn; a shard outlives its thread (the registry keeps a strong
+    reference), so counts are never lost. ``connections_open`` and
+    ``fetches_parked`` are gauges kept the same way (+1/−1); every fetch
+    that parked ends as one ``fetch_wakeups`` (durability or fence) or one
+    ``fetch_timeouts``, unless its connection went away first.
 
     The one genuinely shared datum — the ``inflight_produces`` gauge for
     the completion-driven produce path — goes up and down, so it keeps a
@@ -198,7 +200,7 @@ class _Lane:
     def __init__(self) -> None:
         # Each slice: (greq, producer_id, [(orig_index, chunk), ...]).
         self.slices: list[tuple[_GatewayProduce, int, list[tuple[int, Chunk]]]] = []
-        self.busy = False  # append token held by an in-flight merged request
+        self.busy = False  # append token: a thread is in _flush for this lane
 
 
 class _ProduceCoalescer:
@@ -206,14 +208,16 @@ class _ProduceCoalescer:
 
     Enrollment happens synchronously on the loop thread (so a pipelining
     producer's requests enroll in frame order); each lane holds at most
-    one merged :class:`ProduceRequest` *appending* at a time — the next
-    merge is submitted only once the previous append returns (the
-    ``on_append`` token), which preserves per-streamlet ``chunk_seq``
-    order at the broker — while replication acks for earlier merges still
-    overlap. No linger: an idle lane ships at once, a busy one batches what
-    arrives until its token frees. Completion fans back out: every covered gateway request is
-    acked (its future resolved on the loop) when its covering broker
-    response lands.
+    one merged :class:`ProduceRequest` *appending and shipping* at a time
+    — the thread that holds the lane's token submits the next merge only
+    once ``submit_produce`` returned from the previous one's append and
+    pump turn, which preserves per-streamlet ``chunk_seq`` order at the
+    broker and keeps at most one pool thread per lane in a replication
+    credit wait — while replication acks for earlier merges still
+    overlap. No linger: an idle lane ships at once, a busy one batches
+    what arrives while its thread is in ``submit_produce``.
+    Completion fans back out: every covered gateway request is acked (its
+    future resolved on the loop) when its covering broker response lands.
     """
 
     def __init__(self, server: "GatewayServer") -> None:
@@ -239,7 +243,7 @@ class _ProduceCoalescer:
                 if lane is None:
                     lane = self._lanes[broker_id] = _Lane()
                 lane.slices.append((greq, producer_id, items))
-                if not lane.busy:  # else: flushed when the append token frees
+                if not lane.busy:  # else: the token's holder takes it next
                     lane.busy = True
                     flush_now.append(broker_id)
         for broker_id in flush_now:
@@ -248,43 +252,40 @@ class _ProduceCoalescer:
     # -- executor threads -----------------------------------------------------
 
     def _flush(self, broker_id: int) -> None:
-        """Merge everything pending for one broker into one request and
-        submit it completion-driven. Runs holding the lane's append
-        token (``busy``)."""
-        with self._lock:
-            lane = self._lanes.get(broker_id)
-            if lane is None:
-                return
-            slices = lane.slices
-            lane.slices = []
+        """Holding the lane's token (``busy``): merge everything pending
+        for one broker into one request and verify, append, pump and send
+        it here (may block on replication credit) — then whatever arrived
+        meanwhile, until the lane is empty and the token frees."""
+        while True:
+            with self._lock:
+                lane = self._lanes[broker_id]
+                slices, lane.slices = lane.slices, []
+                if not slices:
+                    lane.busy = False
+                    return
+            slices = self._verify_slices(slices)
             if not slices:
-                lane.busy = False
-                return
-        slices = self._verify_slices(slices)
-        if not slices:
-            # Every pending slice failed verification; pass the append
-            # token on (or chain into slices that arrived meanwhile).
-            self._appended(broker_id)
-            return
-        merged: list[Chunk] = []
-        covers: list[tuple[_GatewayProduce, int, list[int]]] = []
-        for greq, _producer_id, items in slices:
-            base = len(merged)
-            merged.extend(chunk for _, chunk in items)
-            covers.append((greq, base, [index for index, _ in items]))
-        self._server.stats.bump(
-            produce_batches=1, produce_batched_chunks=len(merged)
-        )
-        # The merged request carries the first slice's producer id; dedup
-        # at the broker keys off each *chunk's* producer id, so merging
-        # across producers is safe.
-        self._server.cluster.submit_produce(
-            broker_id,
-            merged,
-            slices[0][1],
-            lambda response, error: self._completed(covers, response, error),
-            on_append=lambda: self._appended(broker_id),
-        )
+                continue  # every pending slice failed verification
+            merged: list[Chunk] = []
+            covers: list[tuple[_GatewayProduce, int, list[int]]] = []
+            for greq, _producer_id, items in slices:
+                base = len(merged)
+                merged.extend(chunk for _, chunk in items)
+                covers.append((greq, base, [index for index, _ in items]))
+            self._server.stats.bump(
+                produce_batches=1, produce_batched_chunks=len(merged)
+            )
+            # The merged request carries the first slice's producer id;
+            # dedup at the broker keys off each *chunk's* producer id, so
+            # merging across producers is safe.
+            self._server.cluster.submit_produce(
+                broker_id,
+                merged,
+                slices[0][1],
+                lambda response, error, covers=covers: self._completed(
+                    covers, response, error
+                ),
+            )
 
     def _verify_slices(
         self,
@@ -337,18 +338,6 @@ class _ProduceCoalescer:
         return good
 
     # -- transport / shipper threads ------------------------------------------
-
-    def _appended(self, broker_id: int) -> None:
-        """The in-flight merge finished appending: pass the token on."""
-        with self._lock:
-            lane = self._lanes.get(broker_id)
-            if lane is None:
-                return
-            if not lane.slices:
-                lane.busy = False
-                return
-            # Keep the token: chain straight into the next merge.
-        self._server._executor.submit(self._flush, broker_id)
 
     def _completed(
         self,

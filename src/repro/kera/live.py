@@ -10,22 +10,24 @@ over the transport, and exposes what the streamlet-move machine
 calls, ``submit_produce``.
 
 Both sides of a node are the same on every driver. The broker side is
-one :class:`BrokerService` bound to ``(node, "broker")``, and a produce
-completes one way: the service appends and kicks replication, and
-``submit_produce`` fires the caller's ``on_complete`` off the runtime's
-:class:`CompletionTracker` when the last chunk is durable — no handler
-thread waits for an ack. A fetch does not ride the transport: the
-cores live in the caller's process and serve lock-free, so
-:meth:`LiveKeraCluster.fetch` calls each leader's service on the calling
-thread. The backup side is one
+one :class:`BrokerService`, and a produce runs to completion on the
+thread that submits it: ``submit_produce`` calls the leader's service,
+which appends and kicks the node's shipper — it pumps on that same
+thread when no pump is running — and the caller's ``on_complete`` fires
+off the runtime's :class:`CompletionTracker` when the last chunk is
+durable; no thread waits for an ack. A fetch calls each leader's service
+on the calling thread too (the cores serve lock-free), so the ``(node,
+"broker")`` binding, one worker, serves only the failure detector's
+``ping``. The backup side is one
 :class:`~repro.kera.backup_service.BackupService` bound to ``(node,
 "backup")``, so every operator method below is a single
 ``transport.call``. Between them runs one
 :class:`~repro.kera.shipper.PipelinedShipper` per broker — the only
 replication ship loop, repair sender and ship-failure rule there is. A
 driver contributes its transport, where its backups live
-(:meth:`_backup_binding`) and whether it starts the shippers' threads (an
-unstarted shipper pumps on the thread that kicks it).
+(:meth:`_backup_binding`) and whether it starts the shippers' threads
+(for ack-driven re-pumps, repairs, the ack-deadline sweep and the drain;
+an unstarted shipper does all of it on the kicking thread).
 """
 
 from __future__ import annotations
@@ -106,7 +108,6 @@ class _AsyncProduce:
         "request_id",
         "on_complete",
         "deadline",
-        "response",
         "done",
         "route",
     )
@@ -126,7 +127,6 @@ class _AsyncProduce:
         #: (stream_id, streamlet_id) of the request's first chunk, so a
         #: broker fence can fail this produce with a typed routing error.
         self.route = route
-        self.response: ProduceResponse | None = None
         self.done = False  # checked-and-set under the owning cluster's _async_lock
 
 
@@ -206,9 +206,9 @@ class BrokerService(LiveService):
             # caller (``submit_produce``) registers with the completion
             # tracker, so nothing waits here for replication acks.
             outcome = self._append(request)
-            # A started shipper is woken; an unstarted one pumps inline, so
-            # on the synchronous driver the request has completed (and the
-            # tracker remembers it) before this outcome returns.
+            # The append locks are released; the kick pumps here unless a
+            # pump is running. On the synchronous driver the request has
+            # completed (the tracker remembers it) before this returns.
             self.cluster.shipper(self.node_id).kick()
             return outcome
         if method == "fetch":
@@ -292,7 +292,8 @@ class LiveKeraCluster:
     def _register_services(self) -> None:
         for node in self.system.node_ids:
             service = self._broker_services[node] = BrokerService(self, node)
-            self.transport.register(node, "broker", service)
+            # Only the failure detector's ping comes over the transport.
+            self.transport.register(node, "broker", service, workers=1)
             # One worker: the backup core stays single-threaded.
             self.transport.register(
                 node, "backup", self._backup_binding(node), workers=1
@@ -424,19 +425,20 @@ class LiveKeraCluster:
         *,
         on_append: Callable[[], None] | None = None,
     ) -> int:
-        """Issue one broker's produce without blocking any caller thread.
+        """Append one broker's produce and start its replication on the
+        calling thread; the ack wait is completion-driven.
 
-        The request is appended and replication kicked by the node's
-        :class:`BrokerService`; the ack wait is completion-driven:
-        ``on_complete(response, error)`` fires exactly once — on a
-        transport or shipper thread (or inline, for synchronous
-        transports) — when every chunk is durable, or on failure/timeout.
-        ``on_append``, when given, fires once the broker has *appended*
-        the chunks (pipelined callers use it as the ordering barrier: a
-        producer's next request for the same broker may only be submitted
-        after the previous append returned, which keeps per-streamlet
-        ``chunk_seq`` order intact while replication acks still overlap).
-        Returns the request id.
+        The node's :class:`BrokerService` appends and kicks the shipper
+        here, so the call costs an append plus — when this thread gets
+        the pump — sending the replicate calls, and can block on
+        replication credit: never call it on an event loop, nor from an
+        ``on_complete`` (that runs on the transport thread that delivers
+        the last ack; inline on a synchronous transport or when nothing
+        needed replicating; on the shipper's thread after a ship failure
+        or timeout). ``on_complete(response, error)`` fires exactly once.
+        ``on_append``, when given, fires once the append and this
+        thread's pump are over, whatever their outcome (as the call then
+        returns, the return is the same barrier). Returns the request id.
         """
         request = ProduceRequest(
             request_id=self._next_request_id(),
@@ -453,46 +455,31 @@ class LiveKeraCluster:
         with self._async_lock:
             self._async_produces.setdefault(broker_id, {})[request.request_id] = state
 
-        def on_submitted(outcome, error: BaseException | None) -> None:
-            # Transport thread (or inline): the append finished (or the
-            # call itself failed). Free the caller's ordering barrier
-            # first — even on error, so pipelined callers never wedge.
-            if on_append is not None:
-                on_append()
-            if error is not None:
-                self._finish_async(state, None, error)
-                return
-            state.response = outcome.response
-            if not outcome.pending:
-                self._finish_async(state, outcome.response, None)
-                return
-            if self.runtime.completion.register(
-                broker_id,
-                request.request_id,
-                lambda: self._finish_async(state, state.response, None),
-            ):
-                # Ack-before-register: replication finished before we got
-                # here; the tracker remembered it.
-                self._finish_async(state, state.response, None)
-                return
-            # Register-before-ack: the waiter is parked. If a ship failure
-            # or a fence already failed this produce, no ack will ever
-            # fire — take the waiter back out.
-            if state.done:
-                self.runtime.completion.discard(broker_id, request.request_id)
-
+        # Through ``handle`` so the fence checks apply; its kick pumps on
+        # this thread when no pump is running.
+        outcome, error = None, None
         try:
-            self.transport.call_async(
-                CLIENT_NODE,
-                broker_id,
-                "broker",
-                "produce_async",
-                request,
-                request.payload_bytes(),
-                on_done=on_submitted,
-            )
-        except BaseException as exc:  # noqa: BLE001 - enqueue-side failure
-            on_submitted(None, exc)
+            outcome = self._broker_services[broker_id].handle("produce_async", request)
+        except Exception as exc:  # noqa: BLE001 - relayed to on_complete
+            error = exc
+        # The ordering barrier frees even on error: callers never wedge.
+        if on_append is not None:
+            on_append()
+        if error is not None:
+            self._finish_async(state, None, error)
+        elif not outcome.pending or self.runtime.completion.register(
+            broker_id,
+            request.request_id,
+            lambda: self._finish_async(state, outcome.response, None),
+        ):
+            # Nothing to wait for, or ack-before-register: replication
+            # finished before we got here and the tracker remembered it.
+            self._finish_async(state, outcome.response, None)
+        elif state.done:
+            # Register-before-ack: the waiter is parked. A ship failure or
+            # a fence already failed this produce, so no ack will ever
+            # fire — take the waiter back out.
+            self.runtime.completion.discard(broker_id, request.request_id)
         return request.request_id
 
     def produce_async(
@@ -503,7 +490,7 @@ class LiveKeraCluster:
     ) -> int:
         """Route chunks to their leaders and kick off append+replication
         for each; ``on_complete`` fires once per broker touched as its
-        response becomes durable. No caller thread blocks. Returns the
+        response becomes durable. No thread waits for an ack. Returns the
         number of broker submissions (= expected callbacks)."""
         by_broker = self._by_leader(chunks)
         for broker_id, batch in by_broker.items():
@@ -662,21 +649,16 @@ class LiveKeraCluster:
         self._shippers[node_id].halt(
             ReplicationError(f"broker {node_id} fenced by failover")
         )
-        self._fail_broker_produces(node_id)
+        # Leader unknown until recovery commits the new routing: clients
+        # refresh metadata and retry instead of hanging out the timeout.
+        self._fail_produces(
+            node_id, lambda state: NotLeaderError(*(state.route or (-1, -1)), None)
+        )
         return fresh
 
     def broker_service(self, node_id: int) -> BrokerService:
         """A node's broker service (a voluntary move fences one streamlet on it)."""
         return self._broker_services[node_id]
-
-    def _fail_broker_produces(self, node_id: int) -> None:
-        """Fail every in-flight async produce toward a fenced broker with
-        ``NotLeaderError`` (leader unknown until recovery commits the new
-        routing), so clients refresh metadata and retry instead of
-        hanging out the ack timeout."""
-        self._fail_produces(
-            node_id, lambda state: NotLeaderError(*(state.route or (-1, -1)), None)
-        )
 
     def repair_backups_for(self, failed_node: int) -> None:
         """Restore copy counts after a node loss: every surviving broker

@@ -3,8 +3,8 @@
 :class:`PipelinedShipper` is the only code outside the simulator that
 collects a broker's ready batches, builds and sends their replicate
 calls, resolves the acks, returns their credit, repairs after a backup
-loss and decides what a ship failure means. One turn of the loop is
-:meth:`PipelinedShipper.pump`:
+loss and decides what a ship failure means. :meth:`PipelinedShipper.pump`
+runs the loop's turns; in one turn
 
 * failed flights are un-issued and dead backups repaired around, *then*
   ``collect_batches()`` runs, again and again until nothing is
@@ -22,15 +22,20 @@ Consolidation is by back-pressure, not by a timer: references accumulate
 while a virtual log's slots (or the credit window) are busy, and the
 next batch carries all of them.
 
-Who calls the pump is the one thing a driver chooses. A started shipper
-pumps on its own thread whenever :meth:`kick`, an ack or a queued repair
-wakes it; a shipper that was never started (the synchronous driver)
-pumps on the kicking thread, and because a synchronous transport
-resolves every flight before ``call_async`` returns, a produce is durable
-by the time its append call returns. Ack callbacks run wherever the
-transport runs them (worker or reader threads; inline on the synchronous
-transport); batch completion is safe there because the broker core
-serializes all structural mutation behind its reentrant mutex.
+Who calls the pump: the thread that appended. :meth:`kick` pumps on the
+kicking thread when no pump is running — a produce appends, ships and
+sends on the thread that submitted it — and otherwise marks the kick for
+the thread that holds the pump and returns at once (never blocked, never
+lost: see :meth:`pump`). On the synchronous driver that is all there is
+(every flight resolves before ``call_async`` returns, so a produce is
+durable when its append call returns). A started shipper also has a
+thread for what must not run on a caller — re-pumping when an ack frees
+a slot with a backlog behind it, queued repairs (they block on credit;
+their trigger arrives on a transport callback), the ack-deadline sweep,
+the drain on ``stop()``: acks, ``repair_node`` and ``stop()`` wake it,
+never pump. Ack callbacks run wherever the transport runs them; batch
+completion is safe there because the broker core serializes all
+structural mutation behind its reentrant mutex.
 
 **A ship failure has one meaning.** A replicate call that fails, a send
 to a failed node, a batch that gets no credit before the drain deadline:
@@ -98,11 +103,15 @@ class PipelinedShipper(threading.Thread):
         self._wake = threading.Event()
         self._stopping = threading.Event()
         self._drain_deadline = float("inf")
-        # One pump at a time; reentrant because an ack callback fired
-        # inside an inline pump may submit (and so kick) again.
-        self._pump_lock = threading.RLock()
-        self._pumping = False  # guarded-by: _pump_lock
         self._flights_lock = threading.Lock()
+        # One pump at a time: whoever flips ``_pumping`` runs the turns;
+        # any other caller (an appender, the shipper's thread, a kick
+        # re-entered from an ack callback) leaves ``_kicked`` for it.
+        self._pumping = False  # guarded-by: _flights_lock
+        self._kicked = False  # guarded-by: _flights_lock
+        #: Pump turns run by a kicking thread / by the shipper's thread.
+        self.inline_pumps = 0
+        self.thread_pumps = 0
         # Every batch collect_batches() handed out, from the moment it is
         # handed out until its acks are applied or it is un-issued.
         self._flights: dict[tuple[int, int], _Flight] = {}  # guarded-by: _flights_lock
@@ -119,12 +128,9 @@ class PipelinedShipper(threading.Thread):
     # -- control --------------------------------------------------------------
 
     def kick(self) -> None:
-        """Get ready work shipped: wake the shipper's thread, or — never
-        started — pump on this one."""
-        if self.ident is None:
-            self.pump()
-        else:
-            self._wake.set()
+        """Get appended work shipped: pump on this thread, or — a pump is
+        running — leave it to that one and return at once."""
+        self.pump()
 
     def stop(self) -> None:
         self._drain_deadline = time.monotonic() + self._DRAIN_TIMEOUT
@@ -149,20 +155,24 @@ class PipelinedShipper(threading.Thread):
         turn swaps the node out of every affected virtual segment and
         re-ships durable prefixes. Going through the pump keeps all of a
         broker's replicate traffic in one sequence, so a backup's
-        per-vseg arrival order matches ship order."""
+        per-vseg arrival order matches ship order. Left to the shipper's
+        thread (a repair blocks on credit); pumped here if there is none."""
         with self._flights_lock:
             self._dead_nodes.append(node)
-        self.kick()
+        if self.ident is None:
+            self.pump()
+        else:
+            self._wake.set()
 
     # -- the loop ---------------------------------------------------------------
 
     def run(self) -> None:
         while self.error is None:
-            # Pump when woken (a kick, an ack, a queued repair), never on
-            # the timeout alone: a failed ship is retried when a produce
-            # asks for it, not every 50 ms. The event is cleared only
-            # after a wake-up, so a kick landing after a timeout survives
-            # to the next wait.
+            # Pump when woken (an ack with a backlog behind it, a failed
+            # call, a queued repair), never on the timeout alone: a failed
+            # ship is retried when a produce asks for it, not every 50 ms.
+            # The event is cleared only after a wake-up, so one landing
+            # after a timeout survives to the next wait.
             woken = self._wake.wait(timeout=self._IDLE_POLL)
             draining = self._stopping.is_set()
             if woken:
@@ -179,35 +189,54 @@ class PipelinedShipper(threading.Thread):
                 return
 
     def _drained(self) -> bool:
-        with self._flights_lock:
-            if self._flights:
-                return False
-        return self.cluster.brokers[self.broker_id].pending_chunks() == 0
+        core = self.cluster.brokers[self.broker_id]
+        return self.in_flight_batches() == 0 and core.pending_chunks() == 0
 
     def pump(self) -> bool:
-        """One turn of the ship loop: un-issue failed flights and repair
-        around dead backups, then collect and issue, until nothing is
-        collectible. False when the turn ended on a ship failure nobody
-        repairs (the waiting produces have been failed)."""
-        with self._pump_lock:
-            if self._pumping or self.error is not None:
-                # Re-entered from an ack callback: the outer turn's next
-                # collect picks the new references up.
+        """Run the ship loop until no kick is outstanding, unless another
+        thread is: then mark the kick for that thread and return True.
+        False when the last turn ended on a ship failure nobody repairs
+        (the waiting produces have been failed)."""
+        # No kick is lost: the mark is set and the holder flag read in one
+        # critical section, and the holder lets go only in one where it
+        # found the mark clear — a whole turn starts after every kick.
+        with self._flights_lock:
+            self._kicked = True
+            if self._pumping:
                 return True
             self._pumping = True
-            core = self.cluster.brokers[self.broker_id]
-            try:
-                while self.error is None and self._service(core):
-                    batches = core.collect_batches()
-                    if not batches:
-                        return True
-                    for batch in batches:
-                        self._issue(batch)
-            except Exception as exc:  # noqa: BLE001 - surfaced to producers
-                self.cluster._on_ship_failure(self.broker_id, exc)
-            finally:
+        core = self.cluster.brokers[self.broker_id]
+        shipped = True
+        try:
+            while True:
+                with self._flights_lock:
+                    self._pumping = self._kicked and self.error is None
+                    if not self._pumping:
+                        return shipped
+                    self._kicked = False
+                if threading.current_thread() is self:
+                    self.thread_pumps += 1
+                else:
+                    self.inline_pumps += 1
+                shipped = self._turn(core)
+        except BaseException:
+            with self._flights_lock:
                 self._pumping = False
-            return False
+            raise
+
+    def _turn(self, core: "KeraBrokerCore") -> bool:
+        """One turn: un-issue failed flights and repair around dead
+        backups, then collect and issue, until nothing is collectible."""
+        try:
+            while self.error is None and self._service(core):
+                batches = core.collect_batches()
+                if not batches:
+                    return True
+                for batch in batches:
+                    self._issue(batch)
+        except Exception as exc:  # noqa: BLE001 - surfaced to producers
+            self.cluster._on_ship_failure(self.broker_id, exc)
+        return False
 
     def _service(self, core: "KeraBrokerCore") -> bool:
         """Un-issue every failed flight, then swap each dead backup out
@@ -320,6 +349,8 @@ class PipelinedShipper(threading.Thread):
                     return
                 del self._flights[flight.key]
         if error is None:
+            core = self.cluster.brokers[self.broker_id]
+            backlog = True
             try:
                 # Repair batches re-ship an already-durable prefix: there
                 # is nothing to complete. The rest is safe on a transport
@@ -327,10 +358,17 @@ class PipelinedShipper(threading.Thread):
                 # produces, and out-of-order acks are re-sequenced inside
                 # the virtual log.
                 if not flight.batch.repair:
-                    self.cluster.brokers[self.broker_id].complete_batch(flight.batch)
+                    core.complete_batch(flight.batch)
+                backlog = core.vlog_for_batch(flight.batch).has_unshipped()
             except Exception as exc:  # noqa: BLE001 - surfaced to producers
                 self.cluster._on_ship_failure(self.broker_id, exc)
             finally:
                 self.flow.release(flight.nbytes)
-        # A failure to service, or a freed slot / credit: look again.
+            # The thread is needed only when references wait behind the
+            # freed slot (an append landing after this lock-free probe
+            # kicks for itself; the release wakes a pump waiting for
+            # credit), or a drain wants to see the table empty.
+            if not (backlog or self._stopping.is_set()):
+                return
+        # A failure to service, or a freed slot with work behind it.
         self._wake.set()

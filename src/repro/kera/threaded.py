@@ -1,27 +1,25 @@
 """Threaded KerA cluster: the concurrent live mode.
 
-Every (node, service) binding runs on its own worker threads behind a
-bounded request queue (:class:`repro.runtime.ThreadedTransport`), each
-broker's replication ship loop (:mod:`repro.kera.shipper`, the same loop
-every driver runs) gets a thread of its own, and real concurrent
-producers/consumers push real bytes — the configuration that proves the
-sans-IO cores are thread-safe under contention.
+Backup services run on worker threads behind bounded request queues
+(:class:`repro.runtime.ThreadedTransport`), each broker's replication
+ship loop (:mod:`repro.kera.shipper`) has a thread for what must not run
+on a caller, and real concurrent producers/consumers push real bytes —
+the configuration that proves the sans-IO cores are thread-safe under
+contention. The concurrency design mirrors the simulator's model:
 
-Concurrency design, mirroring the simulator's model:
-
-* **per-sub-partition locks** in the broker service
-  (:class:`repro.kera.live.BrokerService`) serialize whole produce
-  requests that touch the same ``(stream, streamlet, entry)``
-  sub-partition;
-* the broker core's internal mutex keeps each request's append +
-  replication registration atomic, so virtual-log reference order always
-  matches segment append order (the invariant
-  ``mark_chunk_durable`` enforces);
-* no worker thread waits for replication: the service appends, kicks
-  the node's shipper (which wakes its thread) and returns; the produce
-  completes through the runtime's :class:`CompletionTracker` when the
-  shipper's replicate acks land. The backup service runs single-worker,
-  keeping each backup core single-threaded.
+* a produce **runs on the thread that submits it**
+  (:meth:`LiveKeraCluster.submit_produce`): it takes the broker
+  service's **per-sub-partition locks**, which serialize whole requests
+  touching the same ``(stream, streamlet, entry)``, appends, releases
+  them and kicks the shipper — which pumps on this thread unless a pump
+  is already running;
+* the broker core's mutex keeps each request's append + replication
+  registration atomic, so virtual-log reference order always matches
+  segment append order (the invariant ``mark_chunk_durable`` enforces);
+* no thread waits for replication: the produce completes through the
+  runtime's :class:`CompletionTracker` when the replicate acks land.
+  Each backup service has one worker (a single-threaded backup core);
+  the ``"broker"`` binding keeps one, for the failure detector's ping.
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ from repro.kera.live import LiveKeraCluster
 
 
 class ThreadedKeraCluster(LiveKeraCluster):
-    """A KerA cluster with every node's services on their own threads."""
+    """A KerA cluster with its backups and ship loops on their own threads."""
 
     #: The transport built when none is passed in.
     _transport_class: type[ThreadedTransport] = ThreadedTransport
@@ -42,22 +40,15 @@ class ThreadedKeraCluster(LiveKeraCluster):
         self,
         config: KeraConfig | None = None,
         *,
-        produce_workers: int = 4,
         queue_depth: int = 128,
         call_timeout: float = 30.0,
         ack_timeout: float = 10.0,
         transport: Transport | None = None,
     ) -> None:
         self.ack_timeout = ack_timeout
-        super().__init__(
-            config,
-            transport
-            or self._transport_class(
-                queue_depth=queue_depth,
-                workers_per_service=produce_workers,
-                call_timeout=call_timeout,
-            ),
-        )
+        if transport is None:
+            transport = self._transport_class(queue_depth=queue_depth, call_timeout=call_timeout)
+        super().__init__(config, transport)
         for shipper in self._shippers.values():
             shipper.start()
 

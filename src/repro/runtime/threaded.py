@@ -6,12 +6,13 @@ bounded :class:`queue.Queue` and its own pool of daemon worker threads.
 backpressure) and waits for the response on a per-call event; handler
 exceptions are captured and re-raised in the caller's thread.
 
-Unlike the simulated fabric there is no worker-release: a handler that
-parks (KerA's produce waiting for replication acks) holds its worker
-thread, so a binding's ``workers`` bounds how many requests can be parked
-at once before later calls queue behind them. Replication shippers run on
-their own threads (see ``repro/kera/threaded.py``), so parked produces
-always make progress.
+No handler parks: a live produce completes through the runtime's
+:class:`~repro.runtime.completion.CompletionTracker`, not by holding a
+worker across the replication round trip, so ``workers`` bounds only how
+many handlers *run* at once. ``call_async`` is what the replication ship
+loop rides (``repro/kera/shipper.py``): the caller — usually the
+producer's own thread, which pumps — pays the enqueue (on a worker pipe,
+the send); the worker or reader that finishes the call runs ``on_done``.
 """
 
 from __future__ import annotations

@@ -12,11 +12,19 @@ These tests pin the three properties ISSUE 9 bought:
 * a SIGKILLed backup worker surfaces as a relayed *typed, retryable*
   error on the waiting client and leaks nothing: gateway gauge zero,
   cluster in-flight registry empty.
+
+Since produce runs to completion on the thread that submits it (the
+lane's flush appends, pumps the ship loop and sends), they also pin what
+that must not cost: the loop never submits and stays responsive while
+replication is stalled, one thread per broker lane — not the pool —
+waits for credit, and no broker worker pool exists to hop through.
 """
 
 import asyncio
 import os
 import signal
+import threading
+import time
 
 import pytest
 
@@ -147,3 +155,252 @@ def test_sigkilled_backup_relays_gw_error_without_leaks(tmp_path):
             assert server.stats.errors_returned >= 1
             assert server.stats.inflight_produces == 0
             assert cluster.inflight_produce_count() == 0
+
+
+# -- run-to-completion produce: what the submitting thread may and may not hold --
+
+
+class StalledBackups:
+    """Swallows every replicate call until ``resume()``: backups that are
+    up but never ack. No thread blocks in here, so the only waits in the
+    system are the ship loops' credit waits."""
+
+    def __init__(self, cluster):
+        self.lock = threading.Lock()
+        self.held = []
+        self.stalled = True
+        self.real = cluster.transport.call_async
+        cluster.transport.call_async = self
+
+    def __call__(self, src, dst, service, method, request, request_bytes=0, *, on_done):
+        with self.lock:
+            if self.stalled and method == "replicate":
+                self.held.append((src, dst, service, method, request, request_bytes, on_done))
+                return
+        self.real(src, dst, service, method, request, request_bytes, on_done=on_done)
+
+    def resume(self):
+        # Under the lock: a call issued meanwhile queues behind the held
+        # ones, so a backup sees each virtual segment in ship order.
+        with self.lock:
+            self.stalled = False
+            for *args, on_done in self.held:
+                self.real(*args, on_done=on_done)
+            self.held = []
+
+
+class CreditWaits:
+    """Who sits in ``FlowController.acquire``, per broker."""
+
+    def __init__(self, cluster):
+        self.lock = threading.Lock()
+        self.now = {node: set() for node in cluster.system.node_ids}
+        self.peak = dict.fromkeys(self.now, 0)
+        self.entered = set()  # brokers whose ship loop ever ran out of credit
+        for node in self.now:
+            flow = cluster.shipper(node).flow
+            flow.acquire = self._counted(node, flow.acquire)
+
+    def _counted(self, node, real):
+        def acquire(nbytes, timeout=None):
+            name = threading.current_thread().name
+            with self.lock:
+                self.entered.add(node)
+                self.now[node].add(name)
+                self.peak[node] = max(self.peak[node], len(self.now[node]))
+            try:
+                return real(nbytes, timeout=timeout)
+            finally:
+                with self.lock:
+                    self.now[node].discard(name)
+
+        return acquire
+
+    def waiting(self):
+        with self.lock:
+            return {node: set(names) for node, names in self.now.items() if names}
+
+
+def stalled_config():
+    config = small_config()
+    # Any second batch waits for the first one's credit.
+    return KeraConfig(
+        num_brokers=config.num_brokers,
+        storage=config.storage,
+        replication=ReplicationConfig(
+            replication_factor=3, vlogs_per_broker=2, pipeline_depth=2, ship_window_bytes=1
+        ),
+        chunk_size=config.chunk_size,
+    )
+
+
+async def _stalled_producers(host, port, connections=8, records=60):
+    """Start pipelining producers whose acks cannot arrive yet; returns
+    their tasks and clients."""
+    clients, tasks = [], []
+
+    async def produce(producer, pid):
+        for i in range(records):
+            # Pinned: four streamlets put a leader on each of the brokers.
+            producer.send(f"c{pid}-r{i}".encode(), streamlet_id=pid % 4)
+            if i % 5 == 4:
+                await asyncio.sleep(0)  # let full chunks ship as they seal
+        await producer.close()
+        return producer.records_sent
+
+    for pid in range(connections):
+        client = await AsyncGatewayClient.connect(host, port)
+        clients.append(client)
+        producer = await AsyncProducer.open(
+            client, pid, stream_id=0, max_inflight=4, linger_ms=1.0
+        )
+        tasks.append(asyncio.create_task(produce(producer, pid)))
+    return tasks, clients
+
+
+async def _until(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition not reached"
+        await asyncio.sleep(0.005)
+
+
+def test_loop_stays_free_and_one_thread_per_lane_waits_while_replication_stalls():
+    connections, records = 8, 60
+    with ThreadedKeraCluster(stalled_config()) as cluster:
+        submitters = set()
+        real_submit = cluster.submit_produce
+
+        def submit_produce(*args, **kwargs):
+            submitters.add(threading.current_thread().name)
+            return real_submit(*args, **kwargs)
+
+        cluster.submit_produce = submit_produce
+        waits = CreditWaits(cluster)
+        with GatewayServer(cluster) as server:
+            host, port = server.address()
+
+            async def run():
+                async with await AsyncGatewayClient.connect(host, port) as admin:
+                    await admin.create_stream(0, 4)
+                    await admin.create_stream(1, 1)
+                    stall = StalledBackups(cluster)
+                    tasks, clients = await _stalled_producers(
+                        host, port, connections, records
+                    )
+                    # Each lane's first batch took the credit there is.
+                    await _until(lambda: waits.entered == set(cluster.system.node_ids))
+                    await asyncio.sleep(0.2)  # room for a 2nd waiter per lane to show
+                    assert all(len(names) <= 1 for names in waits.waiting().values())
+                    assert server.stats.inflight_produces > 0
+
+                    # Another connection's metadata request is not behind
+                    # any of that (best of three: the box is shared).
+                    took = []
+                    for _ in range(3):
+                        began = time.perf_counter()
+                        await admin.meta(0)
+                        took.append(time.perf_counter() - began)
+                    assert min(took) < 0.05
+                    # A parked fetch still answers at its own deadline.
+                    idle = await AsyncConsumer.open(admin, 900, stream_id=1)
+                    began = time.perf_counter()
+                    assert await idle.poll(max_wait=0.2) == []
+                    assert 0.19 <= time.perf_counter() - began < 0.7
+                    assert server.stats.fetch_timeouts == 1
+                    assert not any(task.done() for task in tasks)
+
+                    stall.resume()
+                    assert await asyncio.gather(*tasks) == [records] * connections
+                    consumer = await AsyncConsumer.open(admin, 999, stream_id=0)
+                    values = [r.value for r in await consumer.drain()]
+                    assert len(values) == connections * records
+                    assert len(set(values)) == len(values)
+                    for client in clients:
+                        await client.close()
+
+            asyncio.run(run())
+            stats = server.stats
+            # Acked exactly once each: every request answered, none in error.
+            assert stats.errors_returned == 0
+            assert stats.inflight_produces == 0
+            assert cluster.inflight_produce_count() == 0
+        # At most one thread per broker lane ever waited for credit at a
+        # time, and the loop never appended or pumped.
+        assert max(waits.peak.values()) == 1
+        assert submitters and all(n.startswith("gateway-call") for n in submitters)
+        for node in cluster.system.node_ids:
+            assert cluster.shipper(node).inline_pumps > 0
+
+
+def test_shutdown_with_replication_stalled_returns_within_the_drain_deadline():
+    with ThreadedKeraCluster(stalled_config()) as cluster:
+        waits = CreditWaits(cluster)
+        for node in cluster.system.node_ids:
+            cluster.shipper(node)._DRAIN_TIMEOUT = 0.5
+        with GatewayServer(cluster) as server:
+            host, port = server.address()
+
+            async def run():
+                async with await AsyncGatewayClient.connect(host, port) as admin:
+                    await admin.create_stream(0, 4)
+                    StalledBackups(cluster)
+                    tasks, clients = await _stalled_producers(host, port)
+                    await _until(lambda: waits.entered == set(cluster.system.node_ids))
+                    began = time.perf_counter()
+                    await asyncio.to_thread(server.shutdown)
+                    await asyncio.to_thread(cluster.shutdown)
+                    elapsed = time.perf_counter() - began
+                    # The pool thread that held the pump sees the deadline
+                    # on its next 50 ms credit re-check.
+                    await _until(lambda: not waits.waiting(), timeout=1.0)
+                    await asyncio.gather(*tasks, return_exceptions=True)
+                    for client in clients:
+                        await client.close()
+                    return elapsed
+
+            # The credit waits ended on the drain deadline (0.5 s here)
+            # and the stalled produces were failed.
+            assert asyncio.run(run()) < 3.0
+            assert cluster.inflight_produce_count() == 0
+            for node in cluster.system.node_ids:
+                assert not cluster.shipper(node).is_alive()
+
+
+def test_thread_census_no_broker_pool_and_a_burst_adds_only_executor_threads():
+    with SocketKeraCluster(small_config()) as cluster:
+        with GatewayServer(cluster) as server:
+            names = [t.name for t in threading.enumerate()]
+            for node in cluster.system.node_ids:
+                assert f"broker@{node}#0" in names  # the failure detector's ping
+                assert not any(n.startswith(f"broker@{node}#") and n[-1] != "0" for n in names)
+            host, port = server.address()
+            idle = threading.active_count()
+            excess = []
+
+            async def run():
+                async with await AsyncGatewayClient.connect(host, port) as client:
+                    await client.create_stream(0, 4)
+                    producer = await AsyncProducer.open(
+                        client, 1, stream_id=0, max_inflight=4
+                    )
+
+                    async def sample():
+                        while True:
+                            threads = threading.enumerate()
+                            pool = sum(t.name.startswith("gateway-call") for t in threads)
+                            excess.append(len(threads) - idle - pool)
+                            await asyncio.sleep(0.001)
+
+                    sampler = asyncio.create_task(sample())
+                    for i in range(2000):
+                        producer.send(f"v{i}".encode() * 8)
+                        if i % 20 == 19:
+                            await asyncio.sleep(0)
+                    await producer.close()
+                    sampler.cancel()
+                    assert producer.records_sent == 2000
+
+            asyncio.run(run())
+            assert excess and max(excess) <= 0
+            assert server.stats.errors_returned == 0

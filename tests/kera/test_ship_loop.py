@@ -2,14 +2,21 @@
 
 The production :class:`PipelinedShipper` over a hand-stepped transport:
 replicate calls park until the test releases them, in any order, with or
-without an error. No threads, no sleeps — the shippers are never started,
-so every pump turn runs on the test's thread, and every schedule below is
-replayable.
+without an error. No sleeps — the shippers are never started, so every
+pump turn runs on the thread that kicks, and every schedule below is
+replayable. The hand-off cases at the end park one appender mid-turn on
+an event and kick from a second thread; the last one races real threads
+on the threaded driver.
 """
+
+import sys
+import threading
+
+import pytest
 
 from repro.common.errors import ReplicationError, RpcError
 from repro.common.units import KB
-from repro.kera import KeraConfig, KeraConsumer
+from repro.kera import KeraConfig, KeraConsumer, ThreadedKeraCluster
 from repro.kera.live import LiveKeraCluster
 from repro.replication.config import ReplicationConfig
 from repro.runtime.inproc import InprocTransport
@@ -24,12 +31,15 @@ class SteppedTransport(InprocTransport):
     def __init__(self):
         super().__init__()
         self.parked = []  # [dst, request, on_done]
+        self.on_replicate = None  # called inside the ship loop's _issue
 
     def call_async(self, src, dst, service, method, request, request_bytes=0, *, on_done):
         if method != "replicate":
             return super().call_async(
                 src, dst, service, method, request, request_bytes, on_done=on_done
             )
+        if self.on_replicate is not None:
+            self.on_replicate()
         self.parked.append((dst, request, on_done))
 
     def release(self, entry, error=None):
@@ -237,3 +247,152 @@ def test_drain_deadline_unissues_every_batch_it_collected():
         d.ack(sent)
         d.assert_quiescent()
         assert d.core.pending_chunks() == 3
+
+
+# -- the appender pumps: hand-off between two threads ----------------------------
+
+
+class Gate:
+    """Parks the first thread through it until the test opens it."""
+
+    def __init__(self):
+        self.reached = threading.Event()
+        self.opened = threading.Event()
+
+    def __call__(self):
+        if not self.reached.is_set():
+            self.reached.set()
+            assert self.opened.wait(10.0)
+
+
+def test_an_idle_pump_runs_on_the_appending_thread_with_no_append_lock_held():
+    with make_cluster() as cluster:
+        d = Driver(cluster)
+        service = cluster.broker_service(d.leader)
+        held = []
+        d.transport.on_replicate = lambda: held.extend(
+            key for key, lock in service._locks.items() if lock.locked()
+        )
+        d.produce(0)
+        d.produce(1)
+        assert len(d.flights()) == 2 and service._locks
+        # One thread here: a locked sub-partition lock would be ours.
+        assert held == []
+        assert (d.shipper.inline_pumps, d.shipper.thread_pumps) == (2, 0)
+
+
+@pytest.mark.parametrize("park_at", ["issue", "last-empty-collect"])
+def test_a_kick_that_finds_the_pump_busy_returns_at_once_and_is_shipped(park_at):
+    """Thread A holds the pump, parked either inside ``_issue`` or after
+    the empty collect that would end its turn; the test's thread appends
+    and kicks. The kick does not wait, and A — not a further kick — ships
+    the reference before it lets the pump go."""
+    with make_cluster() as cluster:
+        d = Driver(cluster)
+        gate = Gate()
+        if park_at == "issue":
+            d.transport.on_replicate = gate
+        else:
+            collect = d.core.collect_batches
+
+            def collect_then_park():
+                batches = collect()
+                if not batches:
+                    gate()
+                return batches
+
+            d.core.collect_batches = collect_then_park
+        a = threading.Thread(target=d.produce, args=(0,))
+        a.start()
+        assert gate.reached.wait(10.0)
+        turns = d.shipper.inline_pumps
+        assert turns == 1
+
+        d.produce(1)  # returns: the pump is A's, parked
+        assert a.is_alive() and d.shipper.inline_pumps == turns
+        assert d.core.pending_chunks() == 2
+        shipped_before = len(d.flights())
+        assert shipped_before == (0 if park_at == "issue" else 1)
+
+        gate.opened.set()
+        a.join(10.0)
+        assert not a.is_alive()
+        # Nobody kicked again, and chunk 1 is on its way behind chunk 0.
+        flights = d.flights()
+        assert [len(f[0][1].frames) for f in flights] == [1, 1]
+        assert d.shipper.inline_pumps == turns + 1
+        assert d.shipper.thread_pumps == 0
+        for flight in flights:
+            d.ack(flight)
+        assert sorted(d.outcomes) == [(0, None), (1, None)]
+        d.assert_quiescent()
+        assert d.core.pending_chunks() == 0
+
+
+def test_racing_appenders_lose_no_kick_and_keep_ship_order():
+    """8 threads × 250 append+kick rounds on the threaded driver: every
+    produce is acked, nothing is left unshipped, and each backup holds
+    every producer's chunks in the order they were appended."""
+    threads, rounds = 8, 250
+    config = KeraConfig(
+        num_brokers=3,
+        storage=StorageConfig(segment_size=64 * KB, q_active_groups=2),
+        replication=ReplicationConfig(
+            replication_factor=3, vlogs_per_broker=2, pipeline_depth=2
+        ),
+        chunk_size=1 * KB,
+    )
+    with ThreadedKeraCluster(config) as cluster:
+        cluster.create_stream(0, 2)
+        acks = [[] for _ in range(threads)]
+        done = threading.Semaphore(0)
+
+        def work(pid):
+            streamlet = pid % 2
+            leader = cluster.leader_of(0, streamlet)
+
+            def on_complete(_response, error):
+                acks[pid].append(error)
+                done.release()
+
+            for seq in range(rounds):
+                builder = ChunkBuilder(
+                    1 * KB, stream_id=0, streamlet_id=streamlet, producer_id=pid
+                )
+                assert builder.try_append(Record(value=b"p%d-%d" % (pid, seq)))
+                cluster.submit_produce(
+                    leader, [builder.build(chunk_seq=seq)], pid, on_complete
+                )
+
+        workers = [threading.Thread(target=work, args=(pid,)) for pid in range(threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # more interleavings per round
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(60.0)
+                assert not worker.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        for _ in range(threads * rounds):
+            assert done.acquire(timeout=30.0)
+        assert acks == [[None] * rounds] * threads
+
+        leaders = {cluster.leader_of(0, streamlet) for streamlet in range(2)}
+        for leader in leaders:
+            shipper = cluster.shipper(leader)
+            assert shipper.error is None
+            assert shipper.in_flight_batches() == 0
+            assert cluster.brokers[leader].pending_chunks() == 0
+            assert shipper.inline_pumps > 0
+            for backup in cluster.system.node_ids:
+                order = {}
+                for _vseg, chunks in cluster.backup_recovery_chunks(backup, leader):
+                    for c in chunks:
+                        order.setdefault((c.producer_id, c.streamlet_id), []).append(
+                            c.chunk_seq
+                        )
+                for seqs in order.values():
+                    assert seqs == list(range(rounds))
+        assert cluster.inflight_produce_count() == 0

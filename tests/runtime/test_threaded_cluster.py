@@ -1,7 +1,7 @@
 """ThreadedKeraCluster: real concurrency over the sans-IO cores.
 
-N producer threads x M streamlets push real bytes through worker-thread
-brokers, a shipper thread replicates R3, and consumers decode what comes
+N producer threads x M streamlets push real bytes — appending and
+shipping R3 on their own threads — and consumers decode what comes
 back: nothing lost, nothing duplicated, per-group order preserved, and
 the broker-side counters agree with the producer-side counts.
 """
@@ -142,9 +142,10 @@ def test_retransmission_acks_and_deduplicates():
 
 
 def test_queue_depth_one_still_completes():
-    """Tiny queues exercise backpressure without deadlock: parked
-    produces hold workers, but the shipper thread keeps them moving."""
-    with make_cluster(queue_depth=1, produce_workers=2) as cluster:
+    """Tiny queues exercise backpressure without deadlock: producers
+    block sending on their own threads; acks never pump, so the one
+    backup worker always drains its queue."""
+    with make_cluster(queue_depth=1) as cluster:
         cluster.create_stream(0, 2)
         acked, errors = run_producers(cluster, 4, 120, 2, flush_every=20)
         assert errors == []
