@@ -25,8 +25,8 @@ here:
   through — and the ``LiveKeraCluster`` produce, fetch and ``backup_*``
   operator surface, with the broker core's watch/unwatch registry the
   long-poll fetch parks on;
-* the one live broker service (``BrokerService``: ``handle`` plus the
-  node and streamlet fences) and the streamlet-move entry points —
+* the one live broker service (``BrokerService``: ``produce`` /
+  ``fetch`` plus the node and streamlet fences) and the streamlet-move entry points —
   module-level functions, pinned by name in ``FUNCTIONS``:
   ``move_streamlets``/``replay_runs`` (the machine and its one replay
   loop) and its callers ``recover_broker`` and ``migrate_streamlet``;
@@ -65,9 +65,7 @@ class MethodSpec:
 
 
 _TRANSPORT: dict[str, MethodSpec] = {
-    "register": MethodSpec(
-        ("node_id", "name", "service"), kwonly=("workers",), required=True
-    ),
+    "register": MethodSpec(("node_id", "name", "service"), required=True),
     "call": MethodSpec(
         ("src", "dst", "service", "method", "request", "request_bytes"),
         defaults=1,
@@ -119,17 +117,15 @@ PROTOCOLS: dict[str, dict[str, MethodSpec]] = {
     # coalescer and every driver's client path call through exactly
     # these — `produce_async`/`submit_produce` are the completion-driven
     # contract (no thread waits for an ack; `on_complete(response,
-    # error)` fires exactly once; `on_append` fires when the append and
-    # the caller's pump turn are over — as the call then returns), so
-    # a driver that drifts from this shape silently breaks the async
-    # front door. Subclasses inherit rather than override, but if one
-    # does override it must keep the shape.
+    # error)` fires exactly once), so a driver that drifts from this
+    # shape silently breaks the async front door. Subclasses inherit
+    # rather than override, but if one does override it must keep the
+    # shape.
     "LiveKeraCluster": {
         "produce": MethodSpec(("chunks", "producer_id")),
         "produce_async": MethodSpec(("chunks", "producer_id", "on_complete")),
         "submit_produce": MethodSpec(
-            ("broker_id", "chunks", "producer_id", "on_complete"),
-            kwonly=("on_append",),
+            ("broker_id", "chunks", "producer_id", "on_complete")
         ),
         # The one ship loop per broker (benchmarks sample it) and the one
         # repair sender, which recovery reaches on every driver.
@@ -193,10 +189,6 @@ PROTOCOLS: dict[str, dict[str, MethodSpec]] = {
     "LiveService": {
         "handle": MethodSpec(("method", "request"), required=True),
     },
-    # The one broker service every live driver binds to (node, "broker"):
-    # the transport reaches it through `handle`, the cluster's fences
-    # (node-wide for a death, one streamlet for a voluntary move) through
-    # the rest.
     # The core's durability-watcher registry: the long-poll front end
     # registers through `handle_fetch` (atomically with an empty plan) or
     # `watch`, always leaves through `unwatch`, and a node fence reaches
@@ -207,8 +199,14 @@ PROTOCOLS: dict[str, dict[str, MethodSpec]] = {
         "unwatch": MethodSpec(("token",)),
         "wake_watchers": MethodSpec(()),
     },
+    # The one broker service every live driver builds per node, on no
+    # transport binding: the cluster's produce and fetch paths call
+    # `produce` / `fetch` on the caller's thread, the cluster's fences
+    # (node-wide for a death, one streamlet for a voluntary move) reach
+    # it through the rest.
     "BrokerService": {
-        "handle": MethodSpec(("method", "request")),
+        "produce": MethodSpec(("request",)),
+        "fetch": MethodSpec(("request",)),
         "fence": MethodSpec(()),
         "fence_streamlet": MethodSpec(("stream_id", "streamlet_id")),
         "unfence_streamlet": MethodSpec(("stream_id", "streamlet_id")),

@@ -9,9 +9,12 @@ verdict, delivered exactly once per node. It listens on two channels:
   threads and call the settable ``liveness_listener`` hook; the
   detector attaches itself there on :meth:`FailureDetector.start`.
 * **heartbeat leases** — the fallback for failure modes the transport
-  cannot see (a wedged broker service). The detector pings each live
-  broker's ``ping`` method; every ack renews the node's lease, and a
-  lease that expires without an ack yields a ``"heartbeat"`` verdict.
+  cannot see (a wedged backup). A replicate ack from the node's backup
+  (:meth:`LiveKeraCluster.backup_acks`) renews its lease; a node with
+  no new ack is pinged on its ``(node, "backup")`` binding only when no
+  replicate call owes an answer — a busy binding's queue may be full and
+  the submit would block this thread. A lease that expires yields a
+  ``"heartbeat"`` verdict.
 
 Anything else (a survivor's replicate RPC failing, chaos tooling) can
 :meth:`~FailureDetector.report_dead` explicitly; the first report per
@@ -65,6 +68,7 @@ class FailureDetector:
         self._undelivered: list[BrokerDown] = []  # guarded-by: _lock
         self._leases: dict[int, float] = {}  # guarded-by: _lock
         self._ping_inflight: set[int] = set()  # guarded-by: _lock
+        self._acks_seen: dict[int, int] = {}  # detector thread only
         self._wake = threading.Event()
         self._stopping = threading.Event()
         self._thread: threading.Thread | None = None
@@ -137,8 +141,8 @@ class FailureDetector:
             started = time.monotonic()
             self._deliver()
             # ``on_down`` runs a whole recovery on this thread, and no
-            # ping goes out meanwhile: a lease must not run down over
-            # time in which nobody could have renewed it.
+            # tick reads acks or pings meanwhile: a lease must not run
+            # down over time in which nobody could have renewed it.
             away = time.monotonic() - started
             with self._lock:
                 for node in self._leases:
@@ -155,19 +159,26 @@ class FailureDetector:
                 self.on_down(verdict)
 
     def _heartbeat(self) -> None:
+        acked, owing = self.cluster.backup_acks()
         now = time.monotonic()
         for node in self.cluster.live_broker_ids:
+            count = acked.get(node, 0)
+            renewed = count != self._acks_seen.get(node, 0)
+            self._acks_seen[node] = count
             with self._lock:
                 if node in self._down:
                     continue
+                if renewed:
+                    self._leases[node] = now + self.lease_timeout
+                    continue
                 lease = self._leases.setdefault(node, now + self.lease_timeout)
-                if now <= lease and node in self._ping_inflight:
+                if now <= lease and (node in self._ping_inflight or node in owing):
                     continue
             if now > lease:
                 self.report_dead(
                     node,
-                    f"no heartbeat ack from node {node} within "
-                    f"{self.lease_timeout}s lease",
+                    f"no replicate ack or ping answer from node {node}'s "
+                    f"backup within {self.lease_timeout}s lease",
                     source="heartbeat",
                 )
                 continue
@@ -177,7 +188,7 @@ class FailureDetector:
                 self.cluster.transport.call_async(
                     CLIENT_NODE,
                     node,
-                    "broker",
+                    "backup",
                     "ping",
                     None,
                     0,

@@ -9,9 +9,9 @@ machines with no notion of time or transport. Two drivers execute them:
 * :mod:`repro.kera.inproc` — a synchronous in-process driver with real
   payload bytes end to end, used by the quickstart example and the
   integration tests (produce → replicate → consume → decode);
-* :mod:`repro.kera.threaded` — the concurrent live driver: every broker
-  and backup on its own worker threads behind bounded request queues,
-  with real concurrent producers and consumers.
+* :mod:`repro.kera.threaded` — the concurrent live driver: backups on
+  worker threads behind bounded request queues, produce and fetch on
+  their callers' threads, with real concurrent producers and consumers.
 
 All three run on :class:`repro.runtime.ClusterRuntime`; only the
 transport differs.

@@ -1,9 +1,9 @@
 """BackupService: one node's backup core behind ``handle(method, request)``.
 
-The single way a live cluster reaches a backup. Shippers send it
-``replicate``; the cluster's operator surface (recovery reads, restart
-loads, forced flushes, stats) sends it everything else — all through the
-transport, so whatever hosts the service (the inproc transport inline, a
+A node's only transport binding. Shippers send it ``replicate``; the
+failure detector pings an idle node; the operator surface (recovery
+reads, restart loads, forced flushes, stats) sends everything else —
+all through the transport, so whatever hosts the service (the inproc transport inline, a
 threaded transport's single ``backup@N`` worker, a worker process behind
 a ring or a socket) the core only ever sees one caller at a time.
 
@@ -73,6 +73,10 @@ class BackupService(LiveService):
         if works:
             self._schedule(works)
         return response
+
+    def _op_ping(self, _request: Any) -> int:
+        """The failure detector's lease probe for an idle node."""
+        return self.core.node_id
 
     def _op_stats(self, _request: Any) -> dict[str, int]:
         store = self.core.store

@@ -316,8 +316,8 @@ class KeraBrokerCore:
                         del self._watchers[key]
 
     def wake_watchers(self) -> None:
-        """Wake every watcher now (the node is being fenced: whoever
-        waits here must re-route instead of sitting out its deadline)."""
+        """Wake every watcher now (the node is fenced, or a streamlet moved
+        off it: whoever waits here must re-route, not sit out its deadline)."""
         with self._mutex:
             for watchers in self._watchers.values():
                 for token, notify in watchers.items():

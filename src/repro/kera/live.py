@@ -4,24 +4,22 @@
 synchronous in-process driver (:mod:`repro.kera.inproc`) and the
 concurrent drivers (:mod:`repro.kera.threaded` and its worker-process
 siblings). It assembles the cluster on
-:class:`repro.runtime.ClusterRuntime`, routes client requests to leaders
-over the transport, and exposes what the streamlet-move machine
+:class:`repro.runtime.ClusterRuntime`, routes client requests to their
+leaders, and exposes what the streamlet-move machine
 (:mod:`repro.kera.recovery`) drives: fences, the ``backup_*`` operator
 calls, ``submit_produce``.
 
 Both sides of a node are the same on every driver. The broker side is
-one :class:`BrokerService`, and a produce runs to completion on the
-thread that submits it: ``submit_produce`` calls the leader's service,
-which appends and kicks the node's shipper — it pumps on that same
-thread when no pump is running — and the caller's ``on_complete`` fires
-off the runtime's :class:`CompletionTracker` when the last chunk is
-durable; no thread waits for an ack. A fetch calls each leader's service
-on the calling thread too (the cores serve lock-free), so the ``(node,
-"broker")`` binding, one worker, serves only the failure detector's
-``ping``. The backup side is one
+one :class:`BrokerService`, called on the caller's thread, never over
+the transport: ``submit_produce`` calls the leader's ``produce``, which
+appends and kicks the node's shipper (it pumps on that thread when no
+pump is running), and ``on_complete`` fires off the runtime's
+:class:`CompletionTracker` when the last chunk is durable; a fetch
+calls each leader's ``fetch`` (the cores serve lock-free). The backup
+side is one
 :class:`~repro.kera.backup_service.BackupService` bound to ``(node,
-"backup")``, so every operator method below is a single
-``transport.call``. Between them runs one
+"backup")`` — a node's only transport binding — so every operator
+method below is a single ``transport.call``. Between them runs one
 :class:`~repro.kera.shipper.PipelinedShipper` per broker — the only
 replication ship loop, repair sender and ship-failure rule there is. A
 driver contributes its transport, where its backups live
@@ -34,11 +32,10 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import defaultdict
+from collections import Counter, defaultdict
 from collections.abc import Callable
 
 from repro.common.errors import (
-    ConfigError,
     NotLeaderError,
     ReplicationError,
     RpcError,
@@ -47,10 +44,10 @@ from repro.common.errors import (
 from repro.common.idgen import IdGenerator
 from repro.runtime.runtime import ClusterRuntime
 from repro.runtime.system import KeraSystem
-from repro.runtime.transport import LiveService, Transport
+from repro.runtime.transport import Transport
 from repro.kera.backup import KeraBackupCore
 from repro.kera.backup_service import BackupService
-from repro.kera.broker import KeraBrokerCore
+from repro.kera.broker import KeraBrokerCore, ProduceOutcome
 from repro.kera.config import KeraConfig
 from repro.kera.shipper import PipelinedShipper
 from repro.kera.messages import (
@@ -130,9 +127,10 @@ class _AsyncProduce:
         self.done = False  # checked-and-set under the owning cluster's _async_lock
 
 
-class BrokerService(LiveService):
-    """One node's broker core behind ``handle(method, request)``: ping,
-    fence check, sorted per-sub-partition locks, append, fetch."""
+class BrokerService:
+    """One node's broker core behind its fences: ``produce`` and ``fetch``
+    run on the caller's thread and refuse with a typed routing error once
+    the node or the streamlet is fenced."""
 
     def __init__(self, cluster: "LiveKeraCluster", node_id: int) -> None:
         self.cluster = cluster
@@ -179,51 +177,47 @@ class BrokerService(LiveService):
     def _refusal(self, stream_id: int, streamlet_id: int) -> NotLeaderError:
         """The typed routing error for a fenced node or streamlet:
         ``leader`` is None until the move's routing commits."""
-        leader: int | None = None
-        if stream_id >= 0:
-            try:
-                current = self.cluster.leader_of(stream_id, streamlet_id)
-            except Exception:  # noqa: BLE001 - stream unknown mid-recovery
-                current = self.node_id
-            if current != self.node_id:
-                leader = current  # the move already committed new routing
-        return NotLeaderError(stream_id, streamlet_id, leader)
+        try:
+            leader = self.cluster.leader_of(stream_id, streamlet_id)
+        except Exception:  # noqa: BLE001 - stream unknown mid-recovery
+            leader = self.node_id
+        return NotLeaderError(
+            stream_id, streamlet_id, None if leader == self.node_id else leader
+        )
 
-    # -- dispatch -----------------------------------------------------------------
+    def _node_refusal(self, items: list) -> NotLeaderError:
+        """A fenced node's refusal, routed by the request's first item."""
+        if not items:
+            return NotLeaderError(-1, -1, None)
+        return self._refusal(items[0].stream_id, items[0].streamlet_id)
 
-    def handle(self, method: str, request: object) -> object:
-        if method == "ping":
-            if self._fenced:
-                raise RpcError(f"broker {self.node_id} is fenced")
-            return self.node_id
+    # -- requests -----------------------------------------------------------------
+
+    def produce(self, request: ProduceRequest) -> ProduceOutcome:
+        """Append, kick replication, return the whole outcome: the
+        caller (``submit_produce``) registers with the completion
+        tracker, so nothing waits here for replication acks."""
         if self._fenced:
-            items = getattr(request, "chunks", None) or getattr(request, "positions", None)
-            if items:
-                raise self._refusal(items[0].stream_id, items[0].streamlet_id)
-            raise self._refusal(-1, -1)
-        if method == "produce_async":
-            # Append, kick replication, return the whole outcome: the
-            # caller (``submit_produce``) registers with the completion
-            # tracker, so nothing waits here for replication acks.
-            outcome = self._append(request)
-            # The append locks are released; the kick pumps here unless a
-            # pump is running. On the synchronous driver the request has
-            # completed (the tracker remembers it) before this returns.
-            self.cluster.shipper(self.node_id).kick()
-            return outcome
-        if method == "fetch":
-            response = self.core.handle_fetch(request)
-            if self._fenced and request.watch is not None:
-                # Fenced while planning: a watch registered after fence()
-                # woke the others would sit out its deadline unseen.
-                self.core.unwatch(request.watch[1])
-                raise self._refusal(
-                    request.positions[0].stream_id, request.positions[0].streamlet_id
-                )
-            return response
-        raise ConfigError(f"unknown broker method {method!r}")
+            raise self._node_refusal(request.chunks)
+        outcome = self._append(request)
+        # The append locks are released; the kick pumps here unless a
+        # pump is running. On the synchronous driver the request has
+        # completed (the tracker remembers it) before this returns.
+        self.cluster.shipper(self.node_id).kick()
+        return outcome
 
-    def _append(self, request: ProduceRequest) -> object:
+    def fetch(self, request: FetchRequest) -> FetchResponse:
+        if self._fenced:
+            raise self._node_refusal(request.positions)
+        response = self.core.handle_fetch(request)
+        if self._fenced and request.watch is not None:
+            # Fenced while planning: a watch registered after fence()
+            # woke the others would sit out its deadline unseen.
+            self.core.unwatch(request.watch[1])
+            raise self._node_refusal(request.positions)
+        return response
+
+    def _append(self, request: ProduceRequest) -> ProduceOutcome:
         # Per-sub-partition serialization, exactly as the sim driver
         # models it: every (stream, streamlet, entry) sub-partition the
         # request touches is locked — in sorted order, so two requests
@@ -291,13 +285,8 @@ class LiveKeraCluster:
 
     def _register_services(self) -> None:
         for node in self.system.node_ids:
-            service = self._broker_services[node] = BrokerService(self, node)
-            # Only the failure detector's ping comes over the transport.
-            self.transport.register(node, "broker", service, workers=1)
-            # One worker: the backup core stays single-threaded.
-            self.transport.register(
-                node, "backup", self._backup_binding(node), workers=1
-            )
+            self._broker_services[node] = BrokerService(self, node)
+            self.transport.register(node, "backup", self._backup_binding(node))
 
     def _backup_binding(self, node_id: int) -> object:  # pragma: no cover - interface
         """What hosts one node's backup: a :meth:`_local_backup` live
@@ -422,8 +411,6 @@ class LiveKeraCluster:
         chunks: list[Chunk],
         producer_id: int,
         on_complete: ProduceCallback,
-        *,
-        on_append: Callable[[], None] | None = None,
     ) -> int:
         """Append one broker's produce and start its replication on the
         calling thread; the ack wait is completion-driven.
@@ -436,9 +423,7 @@ class LiveKeraCluster:
         the last ack; inline on a synchronous transport or when nothing
         needed replicating; on the shipper's thread after a ship failure
         or timeout). ``on_complete(response, error)`` fires exactly once.
-        ``on_append``, when given, fires once the append and this
-        thread's pump are over, whatever their outcome (as the call then
-        returns, the return is the same barrier). Returns the request id.
+        Returns the request id.
         """
         request = ProduceRequest(
             request_id=self._next_request_id(),
@@ -455,16 +440,13 @@ class LiveKeraCluster:
         with self._async_lock:
             self._async_produces.setdefault(broker_id, {})[request.request_id] = state
 
-        # Through ``handle`` so the fence checks apply; its kick pumps on
+        # Through the service so the fence checks apply; its kick pumps on
         # this thread when no pump is running.
         outcome, error = None, None
         try:
-            outcome = self._broker_services[broker_id].handle("produce_async", request)
+            outcome = self._broker_services[broker_id].produce(request)
         except Exception as exc:  # noqa: BLE001 - relayed to on_complete
             error = exc
-        # The ordering barrier frees even on error: callers never wedge.
-        if on_append is not None:
-            on_append()
         if error is not None:
             self._finish_async(state, None, error)
         elif not outcome.pending or self.runtime.completion.register(
@@ -609,7 +591,7 @@ class LiveKeraCluster:
                 defer_admission=defer_admission,
                 watch=watch,
             )
-            responses.append(self._broker_services[broker_id].handle("fetch", request))
+            responses.append(self._broker_services[broker_id].fetch(request))
         return responses
 
     def unwatch(self, token: object) -> None:
@@ -633,6 +615,18 @@ class LiveKeraCluster:
             return False
         return plane.note_node_failure(node_id, error)
 
+    def backup_acks(self) -> tuple[dict[int, int], set[int]]:
+        """The failure detector's lease evidence, over every shipper: the
+        replicate acks each backup node has returned so far, and the
+        nodes that still owe an answer to a replicate call."""
+        acked: Counter[int] = Counter()
+        owing: set[int] = set()
+        for shipper in self._shippers.values():
+            acks, owes = shipper.backup_acks()
+            acked.update(acks)
+            owing |= owes
+        return dict(acked), owing
+
     def is_failed(self, node_id: int) -> bool:
         with self._failed_lock:
             return node_id in self._failed
@@ -640,8 +634,9 @@ class LiveKeraCluster:
     def fence_node(self, node_id: int) -> bool:
         """Fence a node: stop its broker service from accepting requests
         and fail its in-flight produces with a typed routing error.
-        Idempotent; returns False when the node was already marked
-        failed (``crash_broker``, an earlier fence)."""
+        Idempotent; returns False when the node was already fenced."""
+        if node_id not in self._broker_services:
+            raise StorageError(f"unknown broker {node_id}")
         with self._failed_lock:
             fresh = node_id not in self._failed
             self._failed.add(node_id)
@@ -671,18 +666,6 @@ class LiveKeraCluster:
         for survivor_id, shipper in self._shippers.items():
             if not self.is_failed(survivor_id) and shipper.error is None:
                 shipper.repair_node(failed_node)
-
-    # -- failure injection -------------------------------------------------------------------
-
-    def crash_broker(self, broker_id: int) -> None:
-        """Take a node down: its broker and backup stop responding."""
-        if broker_id not in self.brokers:
-            raise StorageError(f"unknown broker {broker_id}")
-        # Shipper threads consult _failed on every replicate RPC; the
-        # mutation must not race them.
-        with self._failed_lock:
-            self._failed.add(broker_id)
-        self.repair_backups_for(broker_id)
 
     @property
     def live_broker_ids(self) -> list[int]:

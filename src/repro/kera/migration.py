@@ -37,10 +37,10 @@ class MigrationReport:
 
 
 class LeaderSource(MoveSource):
-    """One streamlet, read from the live broker that leads it. Nothing
-    is released after the commit: the fence stays (the old leader now
-    answers ``NotLeaderError(leader=target)``) and its copy is garbage
-    a real system would reclaim lazily."""
+    """One streamlet, read from the live broker that leads it. After the
+    commit the fence stays (the old leader answers ``NotLeaderError(
+    leader=target)``) and its copy is garbage a real system would reclaim
+    lazily; only the fetches parked on the old leader are let go."""
 
     def __init__(self, leader: int, stream_id: int, streamlet_id: int) -> None:
         self.leader = leader
@@ -80,6 +80,11 @@ class LeaderSource(MoveSource):
         cluster.broker_service(self.leader).unfence_streamlet(
             self.stream_id, self.streamlet_id
         )
+
+    def release(self, cluster: LiveKeraCluster) -> None:
+        # Woken, a fetch parked here re-plans against the new leader
+        # instead of sitting out max_wait (the rest re-plan empty).
+        cluster.brokers[self.leader].wake_watchers()
 
 
 def migrate_streamlet(

@@ -3,7 +3,7 @@
 :class:`ProcessKeraCluster` is the threaded cluster with each node's
 backup service re-homed into a child process behind the shared-memory
 ring pipe (:mod:`repro.runtime.process` says what that pipe does):
-broker services stay on in-process worker threads, and CRC
+broker services stay in the parent on their callers' threads, and CRC
 re-validation plus backup appends run on another core.
 
 The division of state is strict: the *child* owns the node's

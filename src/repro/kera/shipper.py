@@ -122,6 +122,10 @@ class PipelinedShipper(threading.Thread):
         # (flight, the backup whose replicate call failed if one did, error)
         self._failed: list[tuple[_Flight, int | None, BaseException]] = []  # guarded-by: _flights_lock
         self._dead_nodes: list[int] = []  # guarded-by: _flights_lock
+        # Per backup node, for the failure detector's lease: replicate
+        # calls owed an answer, and acks received (which renew it).
+        self._owed: dict[int, int] = {}  # guarded-by: _flights_lock
+        self._acks: dict[int, int] = {}  # guarded-by: _flights_lock
         #: Why this shipper was halted (its broker was fenced), else None.
         self.error: BaseException | None = None
 
@@ -149,6 +153,12 @@ class PipelinedShipper(threading.Thread):
     def in_flight_batches(self) -> int:
         with self._flights_lock:
             return len(self._flights)
+
+    def backup_acks(self) -> tuple[dict[int, int], set[int]]:
+        """Replicate acks received per backup node, and the nodes that
+        owe an answer to a replicate call."""
+        with self._flights_lock:
+            return dict(self._acks), {n for n, c in self._owed.items() if c}
 
     def repair_node(self, node: int) -> None:
         """Queue repair around a dead backup (any thread): the next pump
@@ -304,7 +314,7 @@ class PipelinedShipper(threading.Thread):
         flight = _Flight(batch)
         with self._flights_lock:
             self._flights[flight.key] = flight
-        backup = None
+        backup = owed = None
         try:
             request = self.cluster.system.replicate_request(self.broker_id, batch)
             nbytes = request.payload_bytes()
@@ -320,6 +330,10 @@ class PipelinedShipper(threading.Thread):
             for backup in batch.backups:
                 if self.cluster.is_failed(backup):
                     raise ReplicationError(f"replication to failed node {backup}")
+                with self._flights_lock:
+                    # Owed before the submit: a call blocked in it is owed too.
+                    self._owed[backup] = self._owed.get(backup, 0) + 1
+                owed = backup
                 self.cluster.transport.call_async(
                     self.broker_id,
                     backup,
@@ -329,8 +343,11 @@ class PipelinedShipper(threading.Thread):
                     nbytes,
                     on_done=lambda _resp, err, f=flight, b=backup: self._resolve(f, err, b),
                 )
+                owed = None
         except Exception as exc:  # noqa: BLE001 - un-issued by _service
             with self._flights_lock:
+                if owed is not None:
+                    self._owed[owed] -= 1  # its submit failed: never went out
                 flight.failed = True
                 self._failed.append((flight, backup, exc))
 
@@ -338,6 +355,10 @@ class PipelinedShipper(threading.Thread):
 
     def _resolve(self, flight: _Flight, error: BaseException | None, backup: int) -> None:
         with self._flights_lock:
+            # Late or not, an ack is proof the backup serves.
+            self._owed[backup] -= 1
+            if error is None:
+                self._acks[backup] = self._acks.get(backup, 0) + 1
             if flight.failed or self._flights.get(flight.key) is not flight:
                 return  # late ack for a flight already failed or un-issued
             if error is not None:

@@ -18,8 +18,8 @@ contention. The concurrency design mirrors the simulator's model:
   segment append order (the invariant ``mark_chunk_durable`` enforces);
 * no thread waits for replication: the produce completes through the
   runtime's :class:`CompletionTracker` when the replicate acks land.
-  Each backup service has one worker (a single-threaded backup core);
-  the ``"broker"`` binding keeps one, for the failure detector's ping.
+  A node's one transport binding is its backup service, with one worker
+  (a single-threaded backup core).
 """
 
 from __future__ import annotations

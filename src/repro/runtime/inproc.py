@@ -19,9 +19,7 @@ class InprocTransport(Transport):
     def __init__(self) -> None:
         self._services: dict[tuple[int, str], Any] = {}
 
-    def register(
-        self, node_id: int, name: str, service: Any, *, workers: int | None = None
-    ) -> None:
+    def register(self, node_id: int, name: str, service: Any) -> None:
         key = (node_id, name)
         if key in self._services:
             raise RpcError(f"service {name!r} already registered on node {node_id}")

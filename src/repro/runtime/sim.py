@@ -37,9 +37,7 @@ class SimTransport(Transport):
         self.fabric = fabric
         self.env = fabric.env
 
-    def register(
-        self, node_id: int, name: str, service: Any, *, workers: int | None = None
-    ) -> None:
+    def register(self, node_id: int, name: str, service: Any) -> None:
         self.fabric.register(node_id, name, service)
 
     def call(

@@ -26,8 +26,6 @@ class SystemAdapter:
 
     #: Adapter name, for diagnostics.
     name: str = "system"
-    #: Service name clients send produce/fetch to on broker nodes.
-    broker_service: str = "broker"
     #: Node ids the system's cores run on.
     node_ids: list[int]
 
@@ -44,7 +42,6 @@ class KeraSystem(SystemAdapter):
     """KerA: broker + backup core per node, push replication."""
 
     name = "kera"
-    broker_service = "broker"
 
     def __init__(self, config: Any, *, zero_copy_fetch: bool = False) -> None:
         self.config = config
@@ -134,7 +131,6 @@ class KafkaSystem(SystemAdapter):
     """Kafka baseline: one broker core per node, pull replication."""
 
     name = "kafka"
-    broker_service = "kafka"
 
     def __init__(self, config: Any) -> None:
         self.config = config

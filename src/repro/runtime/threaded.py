@@ -1,16 +1,16 @@
 """ThreadedTransport: bounded per-service request queues + worker threads.
 
 The concurrent live mode: each registered (node, service) binding gets a
-bounded :class:`queue.Queue` and its own pool of daemon worker threads.
-``call`` enqueues the request (blocking when the queue is full — real
-backpressure) and waits for the response on a per-call event; handler
-exceptions are captured and re-raised in the caller's thread.
+bounded :class:`queue.Queue` and one daemon worker thread, so a
+service's handlers run one at a time. ``call`` enqueues the request
+(blocking when the queue is full — real backpressure) and waits for the
+response on a per-call event; handler exceptions are captured and
+re-raised in the caller's thread.
 
 No handler parks: a live produce completes through the runtime's
 :class:`~repro.runtime.completion.CompletionTracker`, not by holding a
-worker across the replication round trip, so ``workers`` bounds only how
-many handlers *run* at once. ``call_async`` is what the replication ship
-loop rides (``repro/kera/shipper.py``): the caller — usually the
+worker across the replication round trip. ``call_async`` is what the
+replication ship loop rides (``repro/kera/shipper.py``): the caller — usually the
 producer's own thread, which pumps — pays the enqueue (on a worker pipe,
 the send); the worker or reader that finishes the call runs ``on_done``.
 """
@@ -42,30 +42,21 @@ class _PendingCall:
 
 
 class ThreadedTransport(Transport):
-    """One bounded queue and worker pool per (node, service)."""
+    """One bounded queue and one worker thread per (node, service)."""
 
-    def __init__(
-        self,
-        *,
-        queue_depth: int = 128,
-        workers_per_service: int = 2,
-        call_timeout: float = 30.0,
-    ) -> None:
-        if queue_depth < 1 or workers_per_service < 1:
-            raise RpcError("queue_depth and workers_per_service must be >= 1")
+    def __init__(self, *, queue_depth: int = 128, call_timeout: float = 30.0) -> None:
+        if queue_depth < 1:
+            raise RpcError("queue_depth must be >= 1")
         self.queue_depth = queue_depth
-        self.workers_per_service = workers_per_service
         self.call_timeout = call_timeout
         self._state_lock = threading.Lock()
-        self._bindings: dict[tuple[int, str], tuple[Any, int]] = {}  # guarded-by: _state_lock
+        self._bindings: dict[tuple[int, str], Any] = {}  # guarded-by: _state_lock
         self._queues: dict[tuple[int, str], queue.Queue[_PendingCall | None]] = {}  # guarded-by: _state_lock
         self._threads: list[threading.Thread] = []  # guarded-by: _state_lock
         self._started = False  # guarded-by: _state_lock
         self._closed = False  # guarded-by: _state_lock
 
-    def register(
-        self, node_id: int, name: str, service: Any, *, workers: int | None = None
-    ) -> None:
+    def register(self, node_id: int, name: str, service: Any) -> None:
         with self._state_lock:
             if self._started:
                 raise RpcError("cannot register services on a started transport")
@@ -74,34 +65,32 @@ class ThreadedTransport(Transport):
                 raise RpcError(
                     f"service {name!r} already registered on node {node_id}"
                 )
-            self._bindings[key] = (service, workers or self.workers_per_service)
+            self._bindings[key] = service
 
     def start(self) -> None:
         with self._state_lock:
             if self._started:
                 return
             self._started = True
-            for (node, name), (service, workers) in sorted(self._bindings.items()):
+            for (node, name), service in sorted(self._bindings.items()):
                 q: queue.Queue[_PendingCall | None] = queue.Queue(
                     maxsize=self.queue_depth
                 )
                 self._queues[(node, name)] = q
-                for i in range(workers):
-                    thread = threading.Thread(
-                        target=self._worker,
-                        args=(q, service),
-                        name=f"{name}@{node}#{i}",
-                        daemon=True,
-                    )
-                    thread.start()
-                    self._threads.append(thread)
+                thread = threading.Thread(
+                    target=self._worker,
+                    args=(q, service),
+                    name=f"{name}@{node}#0",
+                    daemon=True,
+                )
+                thread.start()
+                self._threads.append(thread)
 
     @staticmethod
     def _worker(q: "queue.Queue[_PendingCall | None]", service: Any) -> None:
         while True:
             call = q.get()
             if call is None:
-                q.put(None)  # wake sibling workers so the pool drains
                 return
             try:
                 call.response = service.handle(call.method, call.request)
@@ -115,7 +104,7 @@ class ThreadedTransport(Transport):
         self, dst: int, service: str, call: _PendingCall, timeout: float
     ) -> None:
         # Lock-free reads: a call racing start/shutdown sees either side
-        # of the flip — at worst it enqueues onto a draining pool and
+        # of the flip — at worst it enqueues onto a draining worker and
         # times out, exactly as a call landing just before shutdown does.
         if not self._started:
             raise RpcError("transport not started")

@@ -12,14 +12,13 @@ travels:
   inline; ``call`` returns the response directly;
 * :class:`repro.runtime.threaded.ThreadedTransport` — the request is
   enqueued on the target (node, service) bounded queue and executed by
-  that service's worker threads; ``call`` blocks until the response (or
-  a timeout) and returns it;
+  that binding's one worker thread; ``call`` blocks until the response
+  (or a timeout) and returns it;
 * :class:`repro.runtime.worker.WorkerTransport` — the threaded transport
   plus bindings hosted in worker processes, each reached over the pipe
   (shared-memory rings or framed TCP) its spec picks.
 
-Live (non-sim) services implement ``handle(method, request) -> response``
-and may block (e.g. a produce handler parking until replication acks);
+Live (non-sim) services implement ``handle(method, request) -> response``;
 exceptions raised by a handler propagate to the caller.
 
 Adding a new transport (e.g. sockets or asyncio) means implementing this
@@ -50,13 +49,11 @@ class Transport:
     """How requests move between nodes. See the module docstring for the
     sim/live calling-convention difference on :meth:`call`."""
 
-    def register(
-        self, node_id: int, name: str, service: Any, *, workers: int | None = None
-    ) -> None:
+    def register(self, node_id: int, name: str, service: Any) -> None:
         """Bind ``service`` to ``(node, name)``; one service per binding.
 
-        ``workers`` is advisory sizing for concurrent transports (worker
-        threads serving this binding's queue); others ignore it.
+        A concurrent transport serves each binding with exactly one
+        worker, so a service's handlers never run concurrently.
         """
         raise NotImplementedError
 

@@ -2,13 +2,13 @@
 
 The one remote-worker transport. Bindings registered as a
 :class:`WorkerSpec` run in *worker processes*; everything else keeps the
-:class:`ThreadedTransport` behaviour, so a cluster mixes in-process
-broker services with out-of-process backups. This class owns, once, what
-every worker link needs — the call table and call ids, credit
-accounting, liveness reporting, poison-record skipping and
-close-then-drain shutdown — and is parameterised by the *pipe* a spec
-opens: the parent's end (:class:`ParentEnd`) and the symmetric
-end (:class:`PipeEnd`) its child opens. Two pipes exist — shared-memory
+:class:`ThreadedTransport` behaviour (one worker thread per
+binding). This class owns, once, what every worker link needs — the
+call table and call ids, credit accounting, liveness reporting,
+poison-record skipping and close-then-drain shutdown — and is
+parameterised by the *pipe* a spec opens: the parent's end
+(:class:`ParentEnd`) and the symmetric end (:class:`PipeEnd`) its child
+opens. Two pipes exist — shared-memory
 SPSC rings (:mod:`repro.runtime.process`) and framed TCP
 (:mod:`repro.runtime.socket_transport`); each module states what its
 pipe contributes: the boundary copy, the credit source, the liveness
@@ -372,17 +372,12 @@ class WorkerTransport(ThreadedTransport):
         self,
         *,
         queue_depth: int = 128,
-        workers_per_service: int = 2,
         call_timeout: float = 30.0,
         write_timeout: float = 5.0,
         host: str = "127.0.0.1",
         accept_timeout: float = 30.0,
     ) -> None:
-        super().__init__(
-            queue_depth=queue_depth,
-            workers_per_service=workers_per_service,
-            call_timeout=call_timeout,
-        )
+        super().__init__(queue_depth=queue_depth, call_timeout=call_timeout)
         #: How long a request may wait for pipe credit before failing.
         self.write_timeout = write_timeout
         #: Where dial-back pipes rendezvous, and how long a spawned
@@ -406,9 +401,7 @@ class WorkerTransport(ThreadedTransport):
 
     # -- registration / lifecycle -------------------------------------------
 
-    def register(
-        self, node_id: int, name: str, service: Any, *, workers: int | None = None
-    ) -> None:
+    def register(self, node_id: int, name: str, service: Any) -> None:
         key = (node_id, name)
         hosted = isinstance(service, WorkerSpec)
         with self._state_lock:
@@ -419,7 +412,7 @@ class WorkerTransport(ThreadedTransport):
                     raise RpcError("cannot register services on a started transport")
                 self._workers[key] = _WorkerBinding(key, service)
         if not hosted:
-            super().register(node_id, name, service, workers=workers)
+            super().register(node_id, name, service)
 
     def start(self) -> None:
         with self._state_lock:

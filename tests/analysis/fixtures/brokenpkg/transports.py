@@ -6,7 +6,7 @@ from repro.runtime.transport import LiveService, Transport
 class IncompleteTransport(Transport):
     """Fires: required method `call` never implemented."""
 
-    def register(self, node_id, name, service, *, workers=None):
+    def register(self, node_id, name, service):
         pass
 
 
@@ -19,11 +19,14 @@ class DriftedTransport(Transport):
     def call(self, src, dst, service, method, request, request_bytes=0):
         pass
 
+    def call_async(self, src, dst, service, method, request, request_bytes=0):
+        pass
+
 
 class ConformingTransport(Transport):
     """Clean: full surface, protocol signatures."""
 
-    def register(self, node_id, name, service, *, workers=None):
+    def register(self, node_id, name, service):
         pass
 
     def call(self, src, dst, service, method, request, request_bytes=0):
@@ -46,7 +49,7 @@ class SocketTransport:
     still, no base class required.
     """
 
-    def register(self, node_id, name, service, *, workers=None):
+    def register(self, node_id, name, service):
         pass
 
     def call(self, src, dst, service, method, request, request_bytes=0):

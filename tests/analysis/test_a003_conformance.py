@@ -18,8 +18,8 @@ def test_renamed_positional_parameter_fires():
 
 
 def test_dropped_keyword_only_parameter_fires():
-    found = [f for f in _fixture_findings() if "DriftedTransport.register" in f.message]
-    assert any("workers" in f.message for f in found)
+    found = [f for f in _fixture_findings() if "DriftedTransport.call_async" in f.message]
+    assert any("on_done" in f.message for f in found)
 
 
 def test_service_signature_drift_fires():
@@ -35,13 +35,13 @@ def test_subclass_through_intermediate_base_checked(analyze):
         {
             "mod.py": """
             class Transport:
-                def register(self, node_id, name, service, *, workers=None): ...
+                def register(self, node_id, name, service): ...
                 def call(self, src, dst, service, method, request, request_bytes=0): ...
                 def start(self): ...
                 def shutdown(self): ...
 
             class BaseTransport(Transport):
-                def register(self, node_id, name, service, *, workers=None): ...
+                def register(self, node_id, name, service): ...
                 def call(self, src, dst, service, method, request, request_bytes=0): ...
 
             class LeafTransport(BaseTransport):
@@ -118,7 +118,7 @@ def test_socket_transport_transport_methods_stay_in_lockstep(analyze):
         {
             "mod.py": """
             class SocketTransport:
-                def register(self, node_id, name, service, *, workers=None): ...
+                def register(self, node_id, name, service): ...
                 def call(self, source, dst, service, method, request,
                          request_bytes=0): ...
                 def call_async(self, src, dst, service, method, request,
@@ -182,13 +182,19 @@ def test_broker_service_surface_pinned(analyze):
         {
             "mod.py": """
             class BrokerService:
-                def handle(self, method, request): ...
+                def produce(self, request): ...
+                def fetch(self, request, watch): ...
                 def fence(self): ...
                 def fence_streamlet(self, streamlet_id): ...
             """
         },
         rules=["A003"],
     )
+    assert any(
+        "BrokerService.fetch" in f.message and "drifted" in f.message
+        for f in findings
+    )
+    assert not any("BrokerService.produce" in f.message for f in findings)
     assert any(
         "BrokerService.fence_streamlet" in f.message and "drifted" in f.message
         for f in findings

@@ -33,7 +33,7 @@ from repro.replication.config import ReplicationConfig
 from repro.storage.config import StorageConfig
 from repro.gateway import AsyncConsumer, AsyncGatewayClient, AsyncProducer, GatewayServer
 from repro.common.errors import RetriableRpcError
-from repro.kera import KeraConfig, ThreadedKeraCluster
+from repro.kera import KeraConfig, ProcessKeraCluster, ThreadedKeraCluster
 from repro.kera.socket_cluster import SocketKeraCluster
 
 
@@ -367,13 +367,32 @@ def test_shutdown_with_replication_stalled_returns_within_the_drain_deadline():
                 assert not cluster.shipper(node).is_alive()
 
 
+@pytest.mark.parametrize("driver", ["threaded", "process", "socket"])
+def test_thread_census_of_a_started_cluster_is_backup_and_shipper_per_node(driver):
+    """Per node: the backup's one worker (a thread on the threaded
+    driver, the parent's reader of the worker pipe otherwise) and the
+    shipper's thread — nothing else."""
+    cls = {
+        "threaded": ThreadedKeraCluster,
+        "process": ProcessKeraCluster,
+        "socket": SocketKeraCluster,
+    }[driver]
+    before = {t.ident for t in threading.enumerate()}
+    with cls(small_config()) as cluster:
+        names = sorted(t.name for t in threading.enumerate() if t.ident not in before)
+        nodes = cluster.system.node_ids
+    backup = "backup@{}#0" if driver == "threaded" else "worker-reader-backup@{}"
+    assert names == sorted(
+        [backup.format(n) for n in nodes] + [f"kera-shipper-{n}" for n in nodes]
+    )
+
+
 def test_thread_census_no_broker_pool_and_a_burst_adds_only_executor_threads():
     with SocketKeraCluster(small_config()) as cluster:
         with GatewayServer(cluster) as server:
-            names = [t.name for t in threading.enumerate()]
-            for node in cluster.system.node_ids:
-                assert f"broker@{node}#0" in names  # the failure detector's ping
-                assert not any(n.startswith(f"broker@{node}#") and n[-1] != "0" for n in names)
+            # A node's only transport binding is its backup: no broker
+            # worker exists, not even one for the failure detector.
+            assert not any(t.name.startswith("broker@") for t in threading.enumerate())
             host, port = server.address()
             idle = threading.active_count()
             excess = []

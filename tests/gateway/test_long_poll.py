@@ -21,6 +21,7 @@ from repro.gateway import AsyncConsumer, AsyncGatewayClient, AsyncProducer, Gate
 from repro.gateway import protocol
 from repro.kera import KeraConfig, SocketKeraCluster, ThreadedKeraCluster
 from repro.kera.messages import FetchPosition
+from repro.kera.migration import migrate_streamlet
 from repro.replication.config import ReplicationConfig
 from repro.storage.config import StorageConfig
 
@@ -56,6 +57,9 @@ def gateway(request):
 #: fixture, narrowed (a second live cluster would only add idle threads).
 threaded_only = pytest.mark.parametrize(
     "gateway", [ThreadedKeraCluster], ids=["threaded"], indirect=True
+)
+socket_only = pytest.mark.parametrize(
+    "gateway", [SocketKeraCluster], ids=["socket"], indirect=True
 )
 
 
@@ -308,6 +312,60 @@ def test_shutdown_drops_parked_fetches_at_once(gateway):
     assert took[0] < 1.0
     assert sum(core.watcher_count() for core in cluster.brokers.values()) == 0
     assert server.stats.fetches_parked == 0
+
+
+@socket_only
+def test_migration_wakes_the_fetch_parked_on_the_old_leader(gateway):
+    """A voluntary move fences one streamlet, not the node: the fetch
+    parked on the old leader is let go when routing commits and re-plans
+    against the new leader, instead of sitting out ``max_wait``. (A wake
+    answers whatever the re-plan finds, so the record produced after the
+    commit arrives in that answer or in the next poll.)"""
+    host, port = gateway.address()
+    cluster = gateway.cluster
+    stats = gateway.stats
+    commits = []
+    commit_recovery = cluster.coordinator.commit_recovery
+
+    def stamped(plan):
+        commit_recovery(plan)
+        commits.append(time.perf_counter())
+
+    cluster.coordinator.commit_recovery = stamped
+
+    async def one_move(i):
+        producing, consuming, producer, consumer = await _open(host, port, 1)
+        stream_id = producer.stream_id
+        producer.send(b"before")
+        await producer.flush()
+        assert [r.value for r in await consumer.poll(max_wait=0)] == [b"before"]
+        target = (cluster.leader_of(stream_id, 0) + 1) % len(cluster.brokers)
+        answered = []
+        parked = stats.fetches_parked
+        poll = asyncio.ensure_future(consumer.poll(max_wait=LONG))
+        poll.add_done_callback(lambda _: answered.append(time.perf_counter()))
+        await _until(lambda: stats.fetches_parked == parked + 1)
+        await asyncio.to_thread(migrate_streamlet, cluster, stream_id, 0, target)
+        assert cluster.leader_of(stream_id, 0) == target
+        producer.send(b"after")
+        await producer.flush()
+        records = await poll
+        if not records:
+            records = await consumer.poll(max_wait=LONG)
+        assert [r.value for r in records] == [b"after"]
+        await producing.close()
+        await consuming.close()
+        return answered[0] - commits[-1]
+
+    async def run():
+        return [await one_move(i) for i in range(5)]
+
+    try:
+        lags = asyncio.run(run())
+    finally:
+        cluster.coordinator.commit_recovery = commit_recovery
+    assert len(commits) == 5
+    assert max(lags) < 0.25, lags
 
 
 def _reference_fetch_ok(request_id, responses):

@@ -33,7 +33,7 @@ class _Slow:
 
 
 def test_threaded_transport_drains_async_calls_on_shutdown():
-    transport = ThreadedTransport(queue_depth=256, workers_per_service=1)
+    transport = ThreadedTransport(queue_depth=256)
     service = _Slow()
     transport.register(0, "svc", service)
     transport.start()

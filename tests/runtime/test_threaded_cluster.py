@@ -165,9 +165,10 @@ def test_shipper_threads_run_per_broker():
         assert not cluster.shipper(node).is_alive()
 
 
-def test_crash_broker_rejected_for_unknown_node():
+def test_fence_node_rejected_for_unknown_node():
     from repro.common.errors import StorageError
 
     with make_cluster() as cluster:
         with pytest.raises(StorageError):
-            cluster.crash_broker(99)
+            cluster.fence_node(99)
+        assert cluster.live_broker_ids == sorted(cluster.brokers)

@@ -4,15 +4,15 @@ Before the guarded-by pass, :class:`ThreadedTransport` lifecycle state
 (``_started``/``_queues``/``_threads``) and the live cluster's failed-
 node set were mutated without a lock. Two concrete consequences, pinned
 here: concurrent ``start()`` calls could each observe ``_started ==
-False`` and spawn a duplicate worker pool, and ``crash_broker`` raced
-the shipper threads' reads of ``_failed``.
+False`` and spawn duplicate workers, and a node fence raced the
+shipper threads' reads of ``_failed``.
 """
 
 import threading
 
 import pytest
 
-from repro.common.errors import ReplicationError, RpcError
+from repro.common.errors import NotLeaderError, ReplicationError, RpcError
 from repro.common.units import KB
 from repro.replication.config import ReplicationConfig
 from repro.storage.config import StorageConfig
@@ -40,20 +40,22 @@ def _racing_threads(n, fn):
 
 
 def test_concurrent_start_spawns_exactly_one_worker_pool():
-    transport = ThreadedTransport(workers_per_service=3)
+    transport = ThreadedTransport()
     transport.register(0, "svc", _Echo())
+    transport.register(1, "svc", _Echo())
     try:
         _racing_threads(8, transport.start)
-        # One binding, three workers: a double-spawn would double this.
-        assert len(transport._threads) == 3
+        # One worker per binding: a double-spawn would double this.
+        assert sorted(t.name for t in transport._threads) == ["svc@0#0", "svc@1#0"]
         assert transport.call(-1, 0, "svc", "ping", 42) == ("ping", 42)
     finally:
         transport.shutdown()
 
 
 def test_concurrent_shutdown_is_idempotent():
-    transport = ThreadedTransport(workers_per_service=2)
+    transport = ThreadedTransport()
     transport.register(0, "svc", _Echo())
+    transport.register(1, "svc", _Echo())
     transport.start()
     _racing_threads(6, transport.shutdown)
     assert all(not t.is_alive() for t in transport._threads)
@@ -80,10 +82,11 @@ def test_register_after_start_rejected_under_contention():
         transport.shutdown()
 
 
-def test_crash_broker_concurrent_with_producers():
-    """Failing a node mid-traffic must neither hang nor corrupt: every
-    producer either gets its ack or a ReplicationError, and the failed
-    set is consistent afterwards."""
+def test_fence_node_concurrent_with_producers():
+    """Fencing a node mid-traffic must neither hang nor corrupt: every
+    producer either gets its ack or a typed error (a ReplicationError,
+    or the fenced leader's NotLeaderError), and the failed set is
+    consistent afterwards."""
     config = KeraConfig(
         num_brokers=3,
         storage=StorageConfig(segment_size=256 * KB, q_active_groups=2),
@@ -111,13 +114,13 @@ def test_crash_broker_concurrent_with_producers():
                         producer.flush()
                         sent += 20
                 outcomes.append(("ok", sent))
-            except ReplicationError:
+            except (ReplicationError, NotLeaderError):
                 outcomes.append(("failed", sent))
 
         threads = [threading.Thread(target=produce, args=(t,)) for t in range(3)]
         for t in threads:
             t.start()
-        cluster.crash_broker(2)
+        assert cluster.fence_node(2)
         stop.set()
         for t in threads:
             t.join(timeout=30.0)

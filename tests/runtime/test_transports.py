@@ -90,8 +90,6 @@ class TestThreadedTransport:
     def test_invalid_sizing_rejected(self):
         with pytest.raises(RpcError):
             ThreadedTransport(queue_depth=0)
-        with pytest.raises(RpcError):
-            ThreadedTransport(workers_per_service=0)
 
     def test_concurrent_calls_one_worker_serialize(self):
         """One worker: two slow calls overlap at the transport but run
@@ -113,7 +111,7 @@ class TestThreadedTransport:
                 return request
 
         service = Slow()
-        transport = ThreadedTransport(workers_per_service=1)
+        transport = ThreadedTransport()
         transport.register(0, "slow", service)
         transport.start()
         try:
@@ -136,6 +134,8 @@ class TestThreadedTransport:
             transport.shutdown()
 
     def test_concurrent_calls_multiple_workers_overlap(self):
+        """Two bindings are two workers: their handlers overlap, while
+        each binding's own handlers never do (one worker per binding)."""
         barrier = threading.Barrier(2, timeout=5.0)
 
         class Meet(LiveService):
@@ -143,15 +143,17 @@ class TestThreadedTransport:
                 barrier.wait()  # only passes if two handlers run at once
                 return request
 
-        transport = ThreadedTransport(workers_per_service=2)
+        transport = ThreadedTransport()
         transport.register(0, "meet", Meet())
+        transport.register(1, "meet", Meet())
         transport.start()
         try:
+            assert sorted(t.name for t in transport._threads) == ["meet@0#0", "meet@1#0"]
             results = []
             threads = [
                 threading.Thread(
                     target=lambda i=i: results.append(
-                        transport.call(-1, 0, "meet", "go", i)
+                        transport.call(-1, i, "meet", "go", i)
                     )
                 )
                 for i in range(2)
