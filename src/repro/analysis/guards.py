@@ -17,7 +17,9 @@ The declared lock itself must exist: a ``self.<lock> = threading.Lock()``
 (or ``RLock``) assignment in the class's own ``__init__`` or in the
 ``__init__`` of an in-tree ancestor (subclassed transports guard their
 state with the base transport's lock so cross-dict invariants stay
-atomic under one lock).
+atomic under one lock), or from an ``__init__`` parameter annotated as a
+context manager: a sans-IO core whose shell supplies the lock
+(``repro.replication.ship_core``).
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ def _guard_registry(
     """Scan ``__init__`` for declarations.
 
     Returns (attr -> lock name, attr -> declaration line, locks defined
-    as threading.Lock/RLock in the same ``__init__``).
+    as threading.Lock/RLock in the same ``__init__`` or handed to it).
     """
     guarded: dict[str, str] = {}
     decl_line: dict[str, int] = {}
@@ -85,6 +87,10 @@ def _guard_registry(
     )
     if init is None:
         return guarded, decl_line, locks
+    args = init.args.args + init.args.kwonlyargs
+    injected = {
+        a.arg for a in args if a.annotation and "ContextManager" in ast.unparse(a.annotation)
+    }
     for node in ast.walk(init):
         targets: list[ast.expr] = []
         if isinstance(node, ast.Assign):
@@ -100,7 +106,7 @@ def _guard_registry(
                 isinstance(value, ast.Call)
                 and isinstance(value.func, ast.Attribute)
                 and value.func.attr in ("Lock", "RLock", "Condition")
-            ):
+            ) or (isinstance(value, ast.Name) and value.id in injected):
                 locks.add(attr)
             text = module.line_text(node.lineno)
             mark = text.find(_GUARD_MARK)

@@ -23,15 +23,14 @@ from collections.abc import Generator
 from typing import Any
 
 from repro.common.errors import ConfigError
-from repro.rpc.fabric import RELEASE_WORKER, Service
+from repro.rpc.fabric import RELEASE_WORKER
 from repro.runtime.system import KafkaSystem
 from repro.sim.costmodel import CostModel
 from repro.sim.engine import Event
-from repro.sim.resources import Resource
-from repro.simdriver.base import BaseSimCluster, SimResult, SimWorkload
+from repro.simdriver.base import BaseSimCluster, SimBrokerService, SimResult, SimWorkload
 from repro.kafka.broker import KafkaBrokerCore, ReplicaFetchItem
 from repro.kafka.config import KafkaConfig
-from repro.kera.messages import FetchRequest, ProduceRequest
+from repro.kera.messages import ProduceRequest
 
 __all__ = ["SimKafkaCluster", "SimWorkload", "SimResult"]
 
@@ -39,21 +38,10 @@ __all__ = ["SimKafkaCluster", "SimWorkload", "SimResult"]
 _FETCH_ITEM_BYTES = 32
 
 
-class _KafkaService(Service):
+class _KafkaService(SimBrokerService):
     """Sim wrapper around :class:`KafkaBrokerCore`."""
 
-    def __init__(self, driver: "SimKafkaCluster", node_id: int) -> None:
-        self.driver = driver
-        self.node_id = node_id
-        self.core = driver.broker_cores[node_id]
-        self.locks: dict[tuple[int, int], Resource] = {}
-
-    def _lock(self, key: tuple[int, int]) -> Resource:
-        lock = self.locks.get(key)
-        if lock is None:
-            lock = Resource(self.driver.env, 1)
-            self.locks[key] = lock
-        return lock
+    driver: "SimKafkaCluster"
 
     def handle(self, method: str, request: Any) -> Generator[Any, Any, tuple[Any, int]]:
         if method == "produce":
@@ -87,13 +75,6 @@ class _KafkaService(Service):
             yield RELEASE_WORKER
             yield done
         response = outcome.response
-        return response, response.payload_bytes()
-
-    def _fetch(self, request: FetchRequest) -> Generator[Any, Any, tuple[Any, int]]:
-        cost = self.driver.cost
-        response = self.core.handle_fetch(request)
-        work = cost.request_handle_cost + response.chunk_count * cost.consumer_chunk_cost
-        yield self.driver.env.timeout(work)
         return response, response.payload_bytes()
 
     def _replica_fetch(self, request: Any) -> Generator[Any, Any, tuple[Any, int]]:
@@ -198,7 +179,7 @@ class SimKafkaCluster(BaseSimCluster):
                 for t, p in partitions
             ]
             request_bytes = _FETCH_ITEM_BYTES * len(items)
-            response = yield from self.fabric.call_inline(
+            response = yield from self.transport.call(
                 follower, leader, "kafka", "replica_fetch", (follower, items), request_bytes
             )
             work = 0.0

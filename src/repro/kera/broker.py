@@ -26,7 +26,7 @@ from repro.common.errors import ReplicationError
 from repro.common.units import MB
 from repro.replication.config import ReplicationConfig
 from repro.replication.manager import ReplicationManager
-from repro.replication.virtual_log import ReplicationBatch, VirtualLog
+from repro.replication.virtual_log import ReplicationBatch
 from repro.storage.config import StorageConfig
 from repro.storage.fancache import CacheKey, FanoutCache
 from repro.storage.memory import SegmentAllocator
@@ -346,17 +346,13 @@ class KeraBrokerCore:
         with self._mutex:
             return self.manager.collect_batches()
 
-    def vlog_for_batch(self, batch: ReplicationBatch) -> VirtualLog:
-        vlog = self.manager.vlog(batch.vlog_id)
-        if vlog is None:
-            raise ReplicationError(f"unknown virtual log {batch.vlog_id}")
-        return vlog
-
-    def complete_batch(self, batch: ReplicationBatch) -> list[StoredChunk]:
+    def complete_batch(self, batch: ReplicationBatch) -> bool:
+        """All backups acked: apply durability (in issue order). True when
+        references wait behind the freed slot."""
         with self._mutex:
-            durable = self.manager.complete_batch(batch)
+            backlog = self.manager.complete_batch(batch)
         self._flush_wakes()
-        return durable
+        return backlog
 
     def abort_batch(self, batch: ReplicationBatch) -> None:
         """Un-issue a collected batch so its chunks re-ship later."""

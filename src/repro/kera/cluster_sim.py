@@ -9,10 +9,11 @@ with a :class:`repro.runtime.KeraSystem` adapter):
   locks (parallel appends need Q > 1), triggers virtual-log
   synchronization, releases its worker, and parks until every chunk of
   the request is durable (active, push-based replication);
-* each virtual log keeps one replication RPC in flight to its backup set;
-  whatever accumulated while the RPC travelled ships in the next batch
-  (group commit) — the pipeline lives in
-  :class:`repro.runtime.SimKeraReplication`;
+* each broker ships through :class:`repro.runtime.sim.SimShipper` — the
+  live drivers' ship core on sim time: each virtual log keeps up to
+  ``pipeline_depth`` replication RPCs in flight to its backup set, within
+  the ``ship_window_bytes`` credit window, and whatever accumulated while
+  they travelled ships in the next batch (group commit);
 * backups verify, buffer, and asynchronously flush replicated segments;
   the produce path never waits on a disk.
 """
@@ -24,34 +25,22 @@ from typing import Any
 
 from repro.common.errors import ConfigError
 from repro.rpc.fabric import RELEASE_WORKER, Service
-from repro.runtime.sim import SimKeraReplication
+from repro.runtime.sim import SimShipper
 from repro.runtime.system import KeraSystem
 from repro.sim.costmodel import CostModel
-from repro.sim.resources import Resource
-from repro.simdriver.base import BaseSimCluster, SimResult, SimWorkload
+from repro.simdriver.base import BaseSimCluster, SimBrokerService, SimResult, SimWorkload
 from repro.kera.backup import KeraBackupCore
 from repro.kera.broker import KeraBrokerCore
 from repro.kera.config import KeraConfig
-from repro.kera.messages import FetchRequest, ProduceRequest
+from repro.kera.messages import ProduceRequest
 
 __all__ = ["SimKeraCluster", "SimWorkload", "SimResult"]
 
 
-class _BrokerService(Service):
+class _BrokerService(SimBrokerService):
     """Sim wrapper around :class:`KeraBrokerCore` (produce + fetch)."""
 
-    def __init__(self, driver: "SimKeraCluster", node_id: int) -> None:
-        self.driver = driver
-        self.node_id = node_id
-        self.core = driver.broker_cores[node_id]
-        self.locks: dict[tuple[int, int, int], Resource] = {}
-
-    def _lock(self, key: tuple[int, int, int]) -> Resource:
-        lock = self.locks.get(key)
-        if lock is None:
-            lock = Resource(self.driver.env, 1)
-            self.locks[key] = lock
-        return lock
+    driver: "SimKeraCluster"
 
     def handle(self, method: str, request: Any) -> Generator[Any, Any, tuple[Any, int]]:
         if method == "produce":
@@ -82,19 +71,12 @@ class _BrokerService(Service):
             )
             yield from self._lock(key).use(work)
         outcome = self.core.handle_produce(request)
-        driver.replication.start_shipments(self.node_id)
+        driver.shippers[self.node_id].kick()
         if outcome.pending:
             done = driver._completion_event(self.node_id, request.request_id)
             yield RELEASE_WORKER
             yield done
         response = outcome.response
-        return response, response.payload_bytes()
-
-    def _fetch(self, request: FetchRequest) -> Generator[Any, Any, tuple[Any, int]]:
-        cost = self.driver.cost
-        response = self.core.handle_fetch(request)
-        work = cost.request_handle_cost + response.chunk_count * cost.consumer_chunk_cost
-        yield self.driver.env.timeout(work)
         return response, response.payload_bytes()
 
 
@@ -164,9 +146,10 @@ class SimKeraCluster(BaseSimCluster):
         return self.system.backup_cores
 
     def _register_services(self) -> None:
-        self.replication = SimKeraReplication(
-            self.env, self.fabric, self.cost, self.system
-        )
+        self.shippers = {
+            node: SimShipper(self.transport, self.cost, self.system, node)
+            for node in self.broker_nodes
+        }
         for node in self.broker_nodes:
             self.transport.register(node, "broker", _BrokerService(self, node))
             self.transport.register(node, "backup", _BackupService(self, node))

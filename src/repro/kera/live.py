@@ -20,8 +20,8 @@ side is one
 :class:`~repro.kera.backup_service.BackupService` bound to ``(node,
 "backup")`` — a node's only transport binding — so every operator
 method below is a single ``transport.call``. Between them runs one
-:class:`~repro.kera.shipper.PipelinedShipper` per broker — the only
-replication ship loop, repair sender and ship-failure rule there is. A
+:class:`~repro.kera.shipper.PipelinedShipper` per broker — the thread
+shell of the one ship core, repair sender and ship-failure rule. A
 driver contributes its transport, where its backups live
 (:meth:`_backup_binding`) and whether it starts the shippers' threads
 (for ack-driven re-pumps, repairs, the ack-deadline sweep and the drain;
@@ -622,7 +622,7 @@ class LiveKeraCluster:
         acked: Counter[int] = Counter()
         owing: set[int] = set()
         for shipper in self._shippers.values():
-            acks, owes = shipper.backup_acks()
+            acks, owes = shipper.core.backup_acks()
             acked.update(acks)
             owing |= owes
         return dict(acked), owing

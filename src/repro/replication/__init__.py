@@ -21,7 +21,9 @@ stream *replication* (durability, handled here):
   shared by all streams or dedicated per sub-partition);
 * a :class:`~repro.replication.backup_store.BackupStore` is the backup
   service's sans-IO core: replicated in-memory segments, checksum
-  verification, asynchronous flush accounting, recovery reads.
+  verification, asynchronous flush accounting, recovery reads;
+* a :class:`~repro.replication.ship_core.ShipCore` is the ship loop every
+  driver and the simulator run: it ships the manager's batches.
 
 Consolidation is the point: one replication RPC carries the accumulated
 chunks of *many* partitions that share a virtual log, ``replacing small

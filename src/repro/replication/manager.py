@@ -99,18 +99,13 @@ class ReplicationManager:
 
     # -- batching (driver interface) ---------------------------------------------
 
-    def vlog(self, key: int) -> VirtualLog | None:
-        """Look up a virtual log by its policy key."""
-        return self._vlogs.get(key)
-
     def collect_batches(self) -> list[ReplicationBatch]:
         """Batches ready to ship right now, from every dirty virtual log
         with a free pipeline slot. A log yields one batch per free slot
-        (``pipeline_depth`` 1 is the classic one-at-a-time group commit);
-        logs that still hold unshipped work stay dirty for the next
-        collection."""
+        (``pipeline_depth`` 1 is the classic one-at-a-time group commit).
+        A log left holding unshipped work has every slot busy; the
+        completion or abort that frees one makes it dirty again."""
         batches = []
-        still_dirty: set[int] = set()
         for key in sorted(self._dirty):
             vlog = self._vlogs.get(key)
             if vlog is None:
@@ -120,25 +115,25 @@ class ReplicationManager:
                 if batch is None:
                     break
                 batches.append(batch)
-            if vlog.has_unshipped():
-                still_dirty.add(key)
-        self._dirty = still_dirty
+        self._dirty = set()
         return batches
 
-    def complete_batch(self, batch: ReplicationBatch) -> list[StoredChunk]:
-        """All backups acked: advance watermarks, fire durability events."""
+    def complete_batch(self, batch: ReplicationBatch) -> bool:
+        """All backups acked: advance watermarks, fire durability events.
+        True when the log has unshipped work behind the freed slot."""
         vlog = self._vlogs.get(batch.vlog_id)
         if vlog is None:
             raise ReplicationError(f"ack for unknown virtual log {batch.vlog_id}")
         durable = vlog.complete_batch(batch)
-        if vlog.has_unshipped():
+        backlog = vlog.has_unshipped()
+        if backlog:
             # Work accumulated while the batch was in flight (or beyond a
             # batch cap): keep the log collectible.
             self._dirty.add(batch.vlog_id)
         if self.on_durable is not None:
             for stored in durable:
                 self.on_durable(stored)
-        return durable
+        return backlog
 
     def abort_batch(self, batch: ReplicationBatch) -> None:
         vlog = self._vlogs.get(batch.vlog_id)

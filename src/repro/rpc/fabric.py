@@ -117,7 +117,7 @@ class RpcFabric:
         result should prefer :meth:`call_inline`.
         """
         return self.env.process(
-            self._call(src, dst, service, method, request, request_bytes),
+            self.call_inline(src, dst, service, method, request, request_bytes),
             name=f"rpc:{service}.{method}",
         )
 
@@ -132,17 +132,6 @@ class RpcFabric:
     ) -> Generator[Event, Any, Any]:
         """Synchronous RPC for ``yield from`` — no process wrapper, two
         scheduler events cheaper than :meth:`call`."""
-        return self._call(src, dst, service, method, request, request_bytes)
-
-    def _call(
-        self,
-        src: int,
-        dst: int,
-        service: str,
-        method: str,
-        request: Any,
-        request_bytes: int,
-    ) -> Generator[Event, Any, Any]:
         target = self.lookup(dst, service)
         self.stats.record(service, method, request_bytes)
         cost = self.cost

@@ -3,7 +3,7 @@
 The broker, backup, and coordinator cores are sans-IO state machines;
 this package owns everything around them that used to be hand-wired per
 driver: request completion tracking, core construction, stream catalog
-plumbing, and the replication drive loop. A driver now only picks a
+plumbing, and the simulator's ship-loop shell. A driver now only picks a
 :class:`Transport` and contributes thin per-transport effect handlers
 (cost charging in the simulator, locking in the threaded live mode).
 
@@ -38,7 +38,7 @@ from repro.runtime.threaded import ThreadedTransport
 from repro.runtime.worker import WorkerTransport, WorkerSpec
 from repro.runtime.process import ProcessTransport, ProcessServiceSpec
 from repro.runtime.socket_transport import SocketTransport, SocketServiceSpec
-from repro.runtime.sim import SimTransport, SimKeraReplication
+from repro.runtime.sim import SimTransport
 
 __all__ = [
     "CompletionTracker",
@@ -56,5 +56,4 @@ __all__ = [
     "SocketTransport",
     "SocketServiceSpec",
     "SimTransport",
-    "SimKeraReplication",
 ]

@@ -5,29 +5,34 @@ the full simulated life cycle (dispatch CPU, wire transfer, worker
 execution). ``call`` returns a *generator* — the simulated caller must
 ``yield from`` it inside an environment process; services are
 :class:`repro.rpc.fabric.Service` generators that may yield
-``RELEASE_WORKER`` to park.
+``RELEASE_WORKER`` to park. Every simulated caller — clients, Kafka's
+replica fetchers, KerA's ship loop — reaches a service through this
+transport; none calls the fabric directly.
 
-:class:`SimKeraReplication` is KerA's push-replication pipeline on this
-transport: one shipping process per virtual log, one batch in flight,
-staging cost charged against the broker's workers. It drives the same
-:class:`~repro.replication.virtual_log.VirtualLog` cursor and flight
-table as the live ship loop (:mod:`repro.kera.shipper`), on sim time.
+:class:`SimShipper` is KerA's replication ship loop on sim time: the
+same :class:`~repro.replication.ship_core.ShipCore` the live drivers
+run (flight table, credit window, ``pipeline_depth`` slots per virtual
+log), in a shell whose sends are ``call_spawn`` processes and whose
+staging cost is charged to the broker's workers.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Generator
+from contextlib import nullcontext
 from typing import Any, TYPE_CHECKING
 
+from repro.common.errors import SimulationError
+from repro.replication.ship_core import CreditWindow, Flight, ShipCore
 from repro.runtime.transport import Transport
 from repro.sim.engine import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.rpc.fabric import RpcFabric
-    from repro.runtime.completion import CompletionTracker
     from repro.runtime.system import KeraSystem
     from repro.sim.costmodel import CostModel
-    from repro.sim.engine import Environment
+    from repro.sim.engine import Environment, Process
 
 
 class SimTransport(Transport):
@@ -60,79 +65,99 @@ class SimTransport(Transport):
         method: str,
         request: Any,
         request_bytes: int = 0,
-    ) -> Any:
-        """Fan-out form: returns a process to combine with ``all_of``.
-
-        Distinct from :meth:`Transport.call_async` (the live callback
-        API) — in the sim world completion is an event, not a callback.
-        """
+    ) -> "Process":
+        """Fan-out form: a process to combine with ``all_of`` (in the sim
+        world completion is an event, not a ``call_async`` callback)."""
         return self.fabric.call(src, dst, service, method, request, request_bytes)
 
-    def completion_event(
-        self, completion: "CompletionTracker", node_id: int, request_id: int
-    ) -> Event:
-        """A sim event that succeeds when the request completes (already
-        succeeded if the completion beat the registration)."""
+
+class _SimCredit(CreditWindow):
+    """The credit window on sim time: a flight out of credit queues, and
+    releases grant queued flights in order."""
+
+    def __init__(self, env: "Environment", window_bytes: int) -> None:
+        super().__init__(window_bytes)
+        self.env = env
+        self._queue: deque[tuple[int, Event]] = deque()
+
+    def wait(self, nbytes: int) -> Event | None:
+        """None when ``nbytes`` is granted now, else the grant's event."""
+        if not self._queue and self.try_acquire(nbytes):
+            return None
         event = Event(self.env)
-        if completion.register(node_id, request_id, event.succeed):
-            event.succeed()
+        self._queue.append((nbytes, event))
         return event
 
+    def release(self, nbytes: int) -> None:
+        super().release(nbytes)
+        while self._queue and self.try_acquire(self._queue[0][0]):
+            self._queue.popleft()[1].succeed()
 
-class SimKeraReplication:
-    """KerA's simulated push-replication pipeline (one per driver)."""
+
+class SimShipper:
+    """One broker's ship core on sim time (the sim broker's produce
+    handler kicks it)."""
 
     def __init__(
         self,
-        env: "Environment",
-        fabric: "RpcFabric",
+        transport: SimTransport,
         cost: "CostModel",
         system: "KeraSystem",
+        broker_id: int,
     ) -> None:
-        self.env = env
-        self.fabric = fabric
+        self.env = transport.env
+        self.transport = transport
         self.cost = cost
         self.system = system
+        self.broker_id = broker_id
+        self.workers = transport.fabric.nodes[broker_id].workers
+        self.flow = _SimCredit(self.env, system.config.replication.ship_window_bytes)
+        self.core = ShipCore(system.broker_cores[broker_id], self, self.flow, nullcontext())
 
-    def start_shipments(self, broker_id: int) -> None:
-        """Spawn a shipping process per virtual log made ready by the
-        produce call that just ran."""
-        core = self.system.broker_cores[broker_id]
-        for batch in core.collect_batches():
-            vlog = core.vlog_for_batch(batch)
-            self.env.process(
-                self._ship_loop(broker_id, vlog, batch),
-                name=f"ship:b{broker_id}v{batch.vlog_id}",
-            )
+    # -- the core's actions (and the kick) -------------------------------------------
 
-    def _ship_loop(
-        self, broker_id: int, vlog: Any, batch: Any
-    ) -> Generator[Event, Any, None]:
-        core = self.system.broker_cores[broker_id]
+    def send(self, flight: Flight) -> None:
+        self.env.process(
+            self._ship(flight), name=f"ship:b{self.broker_id}v{flight.batch.vlog_id}"
+        )
+
+    def _ship(self, flight: Flight) -> Generator[Event, Any, None]:
+        batch = flight.batch
         cost = self.cost
-        workers = self.fabric.nodes[broker_id].workers
-        while batch is not None:
-            # Staging the batch (reference walk, wire headers, checksum
-            # folding) consumes broker worker CPU and serializes per
-            # virtual log — the replication pipeline a single shared log
-            # provides, and the reason replication capacity is a knob.
-            yield from workers.use(
-                cost.repl_batch_send_cost
-                + batch.chunk_count * cost.repl_chunk_send_cost
-            )
-            request = self.system.replicate_request(broker_id, batch)
-            nbytes = request.payload_bytes()
-            if len(batch.backups) == 1:
-                yield from self.fabric.call_inline(
-                    broker_id, batch.backups[0], "backup", "replicate", request, nbytes
+        # Staging the batch (reference walk, wire headers, checksum
+        # folding) consumes broker worker CPU; up to pipeline_depth
+        # stagings of one virtual log overlap, on as many workers.
+        yield from self.workers.use(
+            cost.repl_batch_send_cost + batch.chunk_count * cost.repl_chunk_send_cost
+        )
+        request = self.system.replicate_request(self.broker_id, batch)
+        nbytes = request.payload_bytes()
+        granted = self.flow.wait(nbytes)
+        if granted is not None:
+            yield granted
+        flight.nbytes = nbytes
+        calls = []
+        for backup in batch.backups:
+            self.core.owe(flight, backup)
+            calls.append(
+                self.transport.call_spawn(
+                    self.broker_id, backup, "backup", "replicate", request, nbytes
                 )
-            else:
-                rpcs = [
-                    self.fabric.call(
-                        broker_id, backup, "backup", "replicate", request, nbytes
-                    )
-                    for backup in batch.backups
-                ]
-                yield self.env.all_of(rpcs)
-            core.complete_batch(batch)
-            batch = vlog.next_batch()
+            )
+        yield self.env.all_of(calls)
+        for backup in batch.backups:
+            self.core.resolve(flight, backup, None)
+
+    def wake(self) -> None:
+        self.core.pump()
+
+    kick = wake
+
+    def claim_backup(self, node: int, error: BaseException) -> bool:
+        return False
+
+    def fail_produces(self, error: BaseException) -> None:
+        raise SimulationError(f"replication from broker {self.broker_id} failed") from error
+
+    def turn_started(self) -> None:
+        pass

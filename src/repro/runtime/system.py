@@ -3,9 +3,10 @@
 An adapter owns the system's cores and the system-specific wiring that
 every driver used to duplicate: core construction, stream-catalog
 fan-out, and (for KerA) the single place a :class:`ReplicateRequest` is
-built from a batch — the ship loops themselves are
-:class:`repro.kera.shipper.PipelinedShipper` (every live driver) and
-:class:`repro.runtime.sim.SimKeraReplication` (the simulator).
+built from a batch — for the one ship loop,
+:class:`repro.replication.ship_core.ShipCore`, whether its shell is
+:class:`repro.kera.shipper.PipelinedShipper` (every live driver) or
+:class:`repro.runtime.sim.SimShipper` (the simulator).
 
 Cores are imported lazily inside methods: ``repro.kera`` and
 ``repro.kafka`` import this package for their drivers, so a module-level
@@ -93,8 +94,7 @@ class KeraSystem(SystemAdapter):
     @staticmethod
     def replicate_request(broker_id: int, batch: "ReplicationBatch") -> Any:
         """The wire form of one replication batch — built here and only
-        here, for every ship loop (the simulator's and the live
-        shipper's, repairs included).
+        here, for both shells of the ship loop, repairs included.
 
         Materialized segments ship zero-copy ``frames`` (memoryview
         slices of the already-encoded, placement-stamped segment bytes);

@@ -8,7 +8,7 @@ records/second through real sockets). It provides:
   generator-based processes (a lean re-implementation of the SimPy model:
   events, timeouts, process interrupts, and/all conditions);
 * :mod:`repro.sim.resources` — counted resources (CPU worker pools, NIC
-  serialization) and FIFO stores (queues between producer threads);
+  serialization);
 * :mod:`repro.sim.network` — a NIC/latency network model: per-message
   sender and receiver serialization at link bandwidth plus propagation
   delay;
@@ -31,7 +31,7 @@ from repro.sim.engine import (
     AllOf,
     AnyOf,
 )
-from repro.sim.resources import Resource, Store
+from repro.sim.resources import Resource
 from repro.sim.network import NetworkModel, Nic
 from repro.sim.disk import DiskModel
 from repro.sim.costmodel import CostModel
@@ -45,7 +45,6 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "Resource",
-    "Store",
     "NetworkModel",
     "Nic",
     "DiskModel",

@@ -1,12 +1,9 @@
-"""Counted resources and FIFO stores for the simulation engine.
+"""Counted resources for the simulation engine.
 
-* :class:`Resource` models a pool of identical servers (worker cores, the
-  dispatch core, a disk arm): processes ``yield resource.acquire()`` and
-  must call :meth:`Resource.release` when done. Grants are strictly FIFO —
-  the determinism requirement again.
-* :class:`Store` is an unbounded FIFO queue of items with blocking ``get``
-  — the shared-memory chunk queues between the producer's source thread
-  and requests thread (paper, Figure 6) are Stores.
+:class:`Resource` models a pool of identical servers (worker cores, the
+dispatch core, a disk arm): processes ``yield resource.acquire()`` and
+must call :meth:`Resource.release` when done. Grants are strictly FIFO —
+the determinism requirement again.
 """
 
 from __future__ import annotations
@@ -62,10 +59,6 @@ class Resource:
             return 0.0
         return self._stat_busy / (elapsed * self.capacity)
 
-    def reset_stats(self) -> None:
-        self._account()
-        self._stat_busy = 0.0
-
     def acquire(self) -> Event:
         """Return an event that fires when a unit is granted."""
         event = Event(self.env)
@@ -104,50 +97,3 @@ class Resource:
             yield self.env.timeout(service_time)
         finally:
             self.release()
-
-
-class Store:
-    """Unbounded FIFO queue with blocking ``get``.
-
-    ``put`` never blocks (the paper's producer threads communicate through
-    shared memory with recycled chunk buffers; back-pressure comes from the
-    closed-loop request path, not from these queues).
-    """
-
-    __slots__ = ("env", "_items", "_getters")
-
-    def __init__(self, env: Environment) -> None:
-        self.env = env
-        self._items: deque[Any] = deque()
-        self._getters: deque[Event] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: Any) -> None:
-        """Enqueue ``item``; wakes the oldest blocked getter, if any."""
-        if self._getters:
-            self._getters.popleft().succeed(item)
-        else:
-            self._items.append(item)
-
-    def get(self) -> Event:
-        """Return an event that fires with the next item."""
-        event = Event(self.env)
-        if self._items:
-            event.succeed(self._items.popleft())
-        else:
-            self._getters.append(event)
-        return event
-
-    def get_nowait(self) -> Any:
-        """Pop the next item immediately; raise if empty."""
-        if not self._items:
-            raise SimulationError("get_nowait() on empty store")
-        return self._items.popleft()
-
-    def drain(self) -> list[Any]:
-        """Remove and return all queued items (non-blocking)."""
-        items = list(self._items)
-        self._items.clear()
-        return items

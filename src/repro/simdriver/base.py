@@ -37,7 +37,7 @@ from repro.common.errors import ConfigError
 from repro.common.idgen import IdGenerator
 from repro.common.metrics import LatencyReservoir, ThroughputMeter
 from repro.common.units import USEC
-from repro.rpc.fabric import RpcFabric
+from repro.rpc.fabric import RpcFabric, Service
 from repro.runtime.runtime import ClusterRuntime
 from repro.runtime.sim import SimTransport
 from repro.runtime.system import SystemAdapter
@@ -125,6 +125,31 @@ class SimResult:
         return self.consumer_rate / 1e6
 
 
+class SimBrokerService(Service):
+    """A system's broker core behind the fabric: per-key append locks and
+    the fetch both systems serve the same way."""
+
+    def __init__(self, driver: "BaseSimCluster", node_id: int) -> None:
+        self.driver = driver
+        self.node_id = node_id
+        self.core = driver.system.broker_cores[node_id]
+        self.locks: dict[Any, Resource] = {}
+
+    def _lock(self, key: Any) -> Resource:
+        lock = self.locks.get(key)
+        if lock is None:
+            lock = Resource(self.driver.env, 1)
+            self.locks[key] = lock
+        return lock
+
+    def _fetch(self, request: Any) -> Generator[Any, Any, tuple[Any, int]]:
+        cost = self.driver.cost
+        response = self.core.handle_fetch(request)
+        work = cost.request_handle_cost + response.chunk_count * cost.consumer_chunk_cost
+        yield self.driver.env.timeout(work)
+        return response, response.payload_bytes()
+
+
 class BaseSimCluster:
     """Node layout, clients, and run skeleton shared by both systems."""
 
@@ -205,9 +230,12 @@ class BaseSimCluster:
     # -- completion plumbing ----------------------------------------------------
 
     def _completion_event(self, broker_id: int, request_id: int) -> Event:
-        return self.transport.completion_event(
-            self.runtime.completion, broker_id, request_id
-        )
+        """A sim event that succeeds when the request completes (already
+        succeeded if the completion beat the registration)."""
+        event = Event(self.env)
+        if self.runtime.completion.register(broker_id, request_id, event.succeed):
+            event.succeed()
+        return event
 
     # -- producer processes --------------------------------------------------------
 
@@ -287,7 +315,7 @@ class BaseSimCluster:
                 chunks=chunks,
             )
             started = env.now
-            yield from self.fabric.call_inline(
+            yield from self.transport.call(
                 client_node,
                 broker,
                 self.broker_service,
@@ -346,7 +374,7 @@ class BaseSimCluster:
                 positions=current,
                 max_chunks_per_entry=1,
             )
-            response = yield from self.fabric.call_inline(
+            response = yield from self.transport.call(
                 client_node,
                 broker,
                 self.broker_service,

@@ -155,3 +155,28 @@ def test_undeclared_lock_still_fires_with_ancestry(analyze):
         rules=["A001"],
     )
     assert any("_state_lock" in f.message for f in findings)
+
+
+def test_a_lock_handed_to_a_sans_io_core_guards_its_state(analyze):
+    findings = analyze(
+        {
+            "mod.py": """
+            from contextlib import AbstractContextManager
+
+            class Core:
+                def __init__(self, lock: AbstractContextManager):
+                    self._lock = lock
+                    self.flights = {}  # guarded-by: _lock
+
+                def guarded(self, key):
+                    with self._lock:
+                        self.flights[key] = 1
+
+                def unguarded(self, key):
+                    del self.flights[key]
+            """
+        },
+        rules=["A001"],
+    )
+    # The injected lock counts as declared; only the bare delete fires.
+    assert [f.line for f in findings] == [14]

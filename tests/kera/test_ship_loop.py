@@ -1,12 +1,14 @@
 """The replication ship loop, single-stepped.
 
-The production :class:`PipelinedShipper` over a hand-stepped transport:
-replicate calls park until the test releases them, in any order, with or
-without an error. No sleeps — the shippers are never started, so every
-pump turn runs on the thread that kicks, and every schedule below is
-replayable. The hand-off cases at the end park one appender mid-turn on
-an event and kick from a second thread; the last one races real threads
-on the threaded driver.
+The first four schedules drive the sans-IO :class:`ShipCore` directly,
+through core events (``tests/replication/ship_harness.py``): replicate
+calls park until the test answers them, in any order, with or without
+an error. No threads, no sleeps — every schedule replays exactly.
+
+The hand-off cases after them keep real threads on the thread shell,
+:class:`PipelinedShipper`, over a hand-stepped transport: they park one
+appender mid-turn on an event and kick from a second thread; the last
+one races real threads on the threaded driver.
 """
 
 import sys
@@ -16,13 +18,139 @@ import pytest
 
 from repro.common.errors import ReplicationError, RpcError
 from repro.common.units import KB
-from repro.kera import KeraConfig, KeraConsumer, ThreadedKeraCluster
+from repro.kera import KeraConfig, ThreadedKeraCluster
 from repro.kera.live import LiveKeraCluster
 from repro.replication.config import ReplicationConfig
 from repro.runtime.inproc import InprocTransport
 from repro.storage.config import StorageConfig
 from repro.wire.chunk import ChunkBuilder
 from repro.wire.record import Record
+from tests.replication.ship_harness import Harness
+
+
+def test_reverse_order_acks_apply_durability_in_issue_order():
+    h = Harness()
+    for seq in range(4):
+        h.produce(seq)
+    flights = h.flights()
+    assert [len(f) for f in flights] == [3, 3, 3, 3]  # depth 4 × three backups
+    # The window is full: later appends accumulate, nothing ships.
+    h.produce(4)
+    h.produce(5)
+    assert len(h.flights()) == 4
+
+    for flight in reversed(flights[1:]):
+        h.ack(flight)
+    # Three batches fully acked, none applied: the first is still out.
+    assert h.outcomes == []
+    assert h.broker.pending_chunks() == 6
+    h.ack(flights[0][:2])
+    assert h.outcomes == []
+    h.ack(flights[0][2:])
+    assert h.outcomes == [(0, None), (1, None), (2, None), (3, None)]
+    assert h.wakes > 0  # references wait behind the freed slots
+
+    # The freed slots take everything that accumulated, in one batch.
+    h.core.pump()
+    (consolidated,) = h.flights()
+    assert len(consolidated[0][0].batch.refs) == 2
+    h.ack(consolidated)
+    assert h.outcomes[4:] == [(4, None), (5, None)]
+    h.assert_quiescent()
+    assert h.durable_seqs() == [0, 1, 2, 3, 4, 5]
+
+
+def test_failed_ack_mid_window_unissues_it_and_its_later_siblings():
+    h = Harness()
+    for seq in range(4):
+        h.produce(seq)
+    first, second, third, fourth = h.flights()
+    h.ack(first)
+    assert h.outcomes == [(0, None)]
+    doomed = h.refs_in_flight()
+    assert len(doomed) == 3
+
+    # One backup refuses the second batch; its other acks still land.
+    h.ack(second[:1], RpcError("backup went away"))
+    h.ack(second[1:])
+    assert h.core.pump() is False
+    # That batch and the two issued after it are un-issued, all credit
+    # is back, and the produces waiting on the broker failed, typed.
+    h.assert_quiescent()
+    assert h.core.error is None
+    assert [seq for seq, _ in h.outcomes[1:]] == [1, 2, 3]
+    assert all(isinstance(err, ReplicationError) for _, err in h.outcomes[1:])
+    # Late acks of the dropped siblings are ignored.
+    h.ack(third)
+    h.ack(fourth)
+    h.assert_quiescent()
+    assert h.broker.pending_chunks() == 3
+
+    # The core lives: the next kick re-ships the same references.
+    h.core.pump()
+    assert [id(ref) for ref in h.refs_in_flight()] == [id(ref) for ref in doomed]
+    for flight in h.flights():
+        h.ack(flight)
+    h.assert_quiescent()
+    assert h.broker.pending_chunks() == 0
+    # A retry of a failed produce acks as duplicates of durable chunks.
+    h.produce(1, 2, 3)
+    assert h.outcomes[-1] == (1, None)
+    assert h.durable_seqs() == [0, 1, 2, 3]
+
+
+def test_queued_repair_is_serviced_before_the_next_collect():
+    h = Harness()
+    h.produce(0)
+    h.ack(h.flights()[0])
+    assert h.outcomes == [(0, None)]
+    for seq in range(1, 5):
+        h.produce(seq)
+    h.produce(5)  # window full: accumulates
+    h.ack(h.flights()[0])  # frees one slot; nobody has pumped yet
+    assert h.outcomes[-1] == (1, None)
+
+    vseg = h.broker.manager.vlogs[0].vsegs[0]
+    dead = vseg.backups[0]
+    spare = next(n for n in range(1, 5) if n not in vseg.backups)
+    before = list(h.parked)
+    h.core.repair(dead)
+    h.core.pump()
+    fresh = [entry for entry in h.parked if entry not in before]
+    # First the repair: the durable prefix (two chunks), to the spare
+    # only. Then the collect, shipping to the repaired backup set.
+    repair, backup = fresh[0]
+    assert backup == spare and repair.batch.repair and len(repair.batch.refs) == 2
+    assert len(fresh) == 4 and fresh[1][0] is not repair
+    assert sorted(entry[1] for entry in fresh[1:]) == sorted(vseg.backups)
+    assert dead not in vseg.backups and spare in vseg.backups
+
+    while h.parked:
+        h.ack(h.parked[:1])
+    h.assert_quiescent()
+    assert h.broker.pending_chunks() == 0
+    assert all(error is None for _, error in h.outcomes)
+
+
+def test_drain_deadline_unissues_every_batch_it_collected():
+    """Four batches come out of one collect; credit covers the first and
+    the shell's wait for more ends (a drain deadline). The other three
+    are un-issued — not abandoned half-issued, not a core error."""
+    h = Harness(max_batch_chunks=1, window=1)
+    h.produce(0, 1, 2, 3)
+    (sent,) = h.flights()
+    assert h.core.error is None
+    assert h.core.in_flight_batches() == 1
+    assert len(h.refs_in_flight()) == 1
+    (outcome,) = h.outcomes
+    assert isinstance(outcome[1], ReplicationError)
+
+    h.ack(sent)
+    h.assert_quiescent()
+    assert h.broker.pending_chunks() == 3
+
+
+# -- the thread shell: the appender pumps, hand-off between two threads ----------
 
 
 class SteppedTransport(InprocTransport):
@@ -31,7 +159,7 @@ class SteppedTransport(InprocTransport):
     def __init__(self):
         super().__init__()
         self.parked = []  # [dst, request, on_done]
-        self.on_replicate = None  # called inside the ship loop's _issue
+        self.on_replicate = None  # called inside the shipper's send
 
     def call_async(self, src, dst, service, method, request, request_bytes=0, *, on_done):
         if method != "replicate":
@@ -42,14 +170,11 @@ class SteppedTransport(InprocTransport):
             self.on_replicate()
         self.parked.append((dst, request, on_done))
 
-    def release(self, entry, error=None):
-        """Deliver one parked replicate call (or fail it with ``error``)."""
+    def release(self, entry):
+        """Deliver one parked replicate call."""
         self.parked.remove(entry)
         dst, request, on_done = entry
-        if error is not None:
-            on_done(None, error)
-        else:
-            on_done(self.call(-1, dst, "backup", "replicate", request), None)
+        on_done(self.call(-1, dst, "backup", "replicate", request), None)
 
 
 class SteppedCluster(LiveKeraCluster):
@@ -60,13 +185,12 @@ class SteppedCluster(LiveKeraCluster):
         return self._local_backup(node_id, async_flush=False)
 
 
-def make_cluster(**replication):
-    # Five nodes: a leader, its three backups, and a spare to repair onto.
+def make_cluster():
     config = KeraConfig(
-        num_brokers=5,
+        num_brokers=4,
         storage=StorageConfig(segment_size=64 * KB),
         replication=ReplicationConfig(
-            replication_factor=4, vlogs_per_broker=1, pipeline_depth=4, **replication
+            replication_factor=4, vlogs_per_broker=1, pipeline_depth=4
         ),
         chunk_size=1 * KB,
     )
@@ -107,149 +231,14 @@ class Driver:
             groups.setdefault(id(entry[1]), []).append(entry)
         return list(groups.values())
 
-    def ack(self, flight, error=None):
+    def ack(self, flight):
         for entry in flight:
-            self.transport.release(entry, error)
-
-    def refs_in_flight(self):
-        vlog = self.core.manager.vlogs[0]
-        return [ref for batch in vlog._inflight.values() for ref in batch.refs]
+            self.transport.release(entry)
 
     def assert_quiescent(self):
         assert self.shipper.in_flight_batches() == 0
         assert self.shipper.flow.in_flight_bytes == 0
         assert not any(vlog.in_flight for vlog in self.core.manager.vlogs)
-
-
-def test_reverse_order_acks_apply_durability_in_issue_order():
-    with make_cluster() as cluster:
-        d = Driver(cluster)
-        for seq in range(4):
-            d.produce(seq)
-        flights = d.flights()
-        assert [len(f) for f in flights] == [3, 3, 3, 3]  # depth 4 × three backups
-        # The window is full: later appends accumulate, nothing ships.
-        d.produce(4)
-        d.produce(5)
-        assert len(d.flights()) == 4
-
-        for flight in reversed(flights[1:]):
-            d.ack(flight)
-        # Three batches fully acked, none applied: the first is still out.
-        assert d.outcomes == []
-        assert d.core.pending_chunks() == 6
-        d.ack(flights[0][:2])
-        assert d.outcomes == []
-        d.ack(flights[0][2:])
-        assert d.outcomes == [(0, None), (1, None), (2, None), (3, None)]
-
-        # The freed slots take everything that accumulated, in one batch.
-        d.shipper.pump()
-        (consolidated,) = d.flights()
-        assert len(consolidated[0][1].frames) == 2
-        d.ack(consolidated)
-        assert d.outcomes[4:] == [(4, None), (5, None)]
-        d.assert_quiescent()
-        assert d.core.pending_chunks() == 0
-
-
-def test_failed_ack_mid_window_unissues_it_and_its_later_siblings():
-    with make_cluster() as cluster:
-        d = Driver(cluster)
-        for seq in range(4):
-            d.produce(seq)
-        first, second, third, fourth = d.flights()
-        d.ack(first)
-        assert d.outcomes == [(0, None)]
-        doomed = d.refs_in_flight()
-        assert len(doomed) == 3
-
-        # One backup refuses the second batch; its other acks still land.
-        d.ack(second[:1], RpcError("backup went away"))
-        d.ack(second[1:])
-        assert d.shipper.pump() is False
-        # That batch and the two issued after it are un-issued, all credit
-        # is back, and the produces waiting on the broker failed, typed.
-        d.assert_quiescent()
-        assert d.shipper.error is None
-        assert [seq for seq, _ in d.outcomes[1:]] == [1, 2, 3]
-        assert all(isinstance(err, ReplicationError) for _, err in d.outcomes[1:])
-        # Late acks of the dropped siblings are ignored.
-        d.ack(third)
-        d.ack(fourth)
-        d.assert_quiescent()
-        assert d.core.pending_chunks() == 3
-
-        # The shipper lives: the next kick re-ships the same references.
-        d.shipper.kick()
-        assert [id(ref) for ref in d.refs_in_flight()] == [id(ref) for ref in doomed]
-        for flight in d.flights():
-            d.ack(flight)
-        d.assert_quiescent()
-        assert d.core.pending_chunks() == 0
-        # A retry of a failed produce acks as duplicates of durable chunks.
-        d.produce(1, 2, 3)
-        assert d.outcomes[-1] == (1, None)
-        values = [r.value for r in KeraConsumer(cluster, 0, stream_ids=[0]).drain()]
-        assert values == [b"v0", b"v1", b"v2", b"v3"]
-
-
-def test_queued_repair_is_serviced_before_the_next_collect():
-    with make_cluster() as cluster:
-        d = Driver(cluster)
-        d.produce(0)
-        d.ack(d.flights()[0])
-        assert d.outcomes == [(0, None)]
-        for seq in range(1, 5):
-            d.produce(seq)
-        d.produce(5)  # window full: accumulates
-        d.ack(d.flights()[0])  # frees one slot; nobody has pumped yet
-        assert d.outcomes[-1] == (1, None)
-
-        vseg = d.core.manager.vlogs[0].vsegs[0]
-        dead = vseg.backups[0]
-        spare = next(
-            n for n in cluster.system.node_ids if n != d.leader and n not in vseg.backups
-        )
-        before = list(d.transport.parked)
-        d.shipper.repair_node(dead)
-        fresh = [entry for entry in d.transport.parked if entry not in before]
-        # First the repair: the durable prefix (two chunks), to the spare
-        # only. Then the collect, shipping to the repaired backup set.
-        assert fresh[0][0] == spare and len(fresh[0][1].frames) == 2
-        assert len(fresh) == 4 and fresh[1][1] is not fresh[0][1]
-        assert sorted(entry[0] for entry in fresh[1:]) == sorted(vseg.backups)
-        assert dead not in vseg.backups and spare in vseg.backups
-
-        while d.transport.parked:
-            d.transport.release(d.transport.parked[0])
-        d.assert_quiescent()
-        assert d.core.pending_chunks() == 0
-        assert all(error is None for _, error in d.outcomes)
-
-
-def test_drain_deadline_unissues_every_batch_it_collected():
-    """Four batches come out of one collect; credit covers the first and
-    is never returned. Past the drain deadline the other three are
-    un-issued — not abandoned half-issued, not a shipper error."""
-    with make_cluster(max_batch_chunks=1, ship_window_bytes=1) as cluster:
-        d = Driver(cluster)
-        d.shipper._DRAIN_TIMEOUT = 0.0
-        d.shipper.stop()
-        d.produce(0, 1, 2, 3)
-        (sent,) = d.flights()
-        assert d.shipper.error is None
-        assert d.shipper.in_flight_batches() == 1
-        assert len(d.refs_in_flight()) == 1
-        (outcome,) = d.outcomes
-        assert isinstance(outcome[1], ReplicationError)
-
-        d.ack(sent)
-        d.assert_quiescent()
-        assert d.core.pending_chunks() == 3
-
-
-# -- the appender pumps: hand-off between two threads ----------------------------
 
 
 class Gate:

@@ -1,10 +1,10 @@
-"""Resource and Store semantics tests."""
+"""Resource semantics tests."""
 
 import pytest
 
 from repro.common.errors import SimulationError
 from repro.sim.engine import Environment
-from repro.sim.resources import Resource, Store
+from repro.sim.resources import Resource
 
 
 def test_resource_grants_up_to_capacity():
@@ -78,70 +78,3 @@ def test_capacity_positive():
     env = Environment()
     with pytest.raises(SimulationError):
         Resource(env, 0)
-
-
-def test_store_put_then_get():
-    env = Environment()
-    store = Store(env)
-    store.put("a")
-    store.put("b")
-
-    def consumer(env):
-        first = yield store.get()
-        second = yield store.get()
-        return [first, second]
-
-    assert env.run(env.process(consumer(env))) == ["a", "b"]
-
-
-def test_store_get_blocks_until_put():
-    env = Environment()
-    store = Store(env)
-    got = []
-
-    def consumer(env):
-        item = yield store.get()
-        got.append((env.now, item))
-
-    def producer(env):
-        yield env.timeout(2.0)
-        store.put("late")
-
-    env.process(consumer(env))
-    env.process(producer(env))
-    env.run()
-    assert got == [(2.0, "late")]
-
-
-def test_store_getters_fifo():
-    env = Environment()
-    store = Store(env)
-    got = []
-
-    def consumer(env, tag):
-        item = yield store.get()
-        got.append((tag, item))
-
-    for tag in range(3):
-        env.process(consumer(env, tag))
-
-    def producer(env):
-        yield env.timeout(1.0)
-        for item in "abc":
-            store.put(item)
-
-    env.process(producer(env))
-    env.run()
-    assert got == [(0, "a"), (1, "b"), (2, "c")]
-
-
-def test_store_nowait_and_drain():
-    env = Environment()
-    store = Store(env)
-    with pytest.raises(SimulationError):
-        store.get_nowait()
-    store.put(1)
-    store.put(2)
-    assert store.get_nowait() == 1
-    assert store.drain() == [2]
-    assert len(store) == 0
