@@ -161,8 +161,8 @@ def collect_sanitizer_functions(modules: ModuleSet) -> set[str]:
     """In-tree functions that re-validate bytes (CRC summaries, A008).
 
     A function counts as a sanitizer when its body computes or checks a
-    CRC (``crc32c``/``crc32c_many`` or a lane engine directly:
-    ``crc32c_bulk``/``crc32c_lanes``/``crc32c_lanes16``), calls
+    CRC (``crc32c``/``crc32c_many`` or an engine directly:
+    ``crc32c_bulk``/``crc32c_lanes``/``crc32c_lanes16``/``crc32c_rows``), calls
     ``verify_payload``/``verify``, decodes with ``verify=True``, or raises
     ``ChecksumError`` itself. One level deep only — enough for the
     in-tree helpers (``SegmentFileMeta.unpack``, ``recover_segment_file``,
@@ -174,6 +174,7 @@ def collect_sanitizer_functions(modules: ModuleSet) -> set[str]:
         "crc32c_bulk",
         "crc32c_lanes",
         "crc32c_lanes16",
+        "crc32c_rows",
         "verify_payload",
         "verify",
     }

@@ -210,8 +210,8 @@ class AsyncGatewayClient:
         answers at once, which is what a poll-until-empty loop wants.
 
         This is the client's address-space boundary: the chunks come back
-        validated (payload CRCs, and record checksums where one lane pass
-        could cover them — see :func:`protocol.decode_fetch_ok`), or the
+        validated (payload CRCs, and record checksums where one vectorized
+        pass could cover them — see :func:`protocol.decode_fetch_ok`), or the
         call raises and delivers none of them.
         """
         request_id = next(self._ids)

@@ -107,8 +107,8 @@ class KeraBrokerCore:
         #: driver uses it; serialization-boundary drivers must re-encode.
         self.zero_copy_fetch = zero_copy_fetch
         #: Shared hot-chunk cache for the view-serving fetch path: N
-        #: consumer groups fanning out over one stream validate and
-        #: decode each hot chunk once, keyed by (vlog, vseg, chunk).
+        #: consumer groups fanning out over one stream validate each hot
+        #: chunk once, keyed by (vlog, vseg, chunk).
         self.fancache = FanoutCache(fanout_cache_bytes)
         # Exactly-once state.
         self._last_durable_seq: dict[tuple[int, int, int], int] = {}
@@ -366,8 +366,8 @@ class KeraBrokerCore:
 
         Cursor resolution (including ``seek_record`` repositioning through
         the offset index) happens under the broker mutex; the per-chunk
-        serving work — cache admission with its boundary CRC and record
-        decode, or legacy re-encode — happens *outside* it, against
+        serving work — cache admission with its boundary CRC, or legacy
+        re-encode — happens *outside* it, against
         immutable durable bytes, so concurrent consumer groups don't
         serialize on the produce path's lock.
         """
@@ -394,8 +394,8 @@ class KeraBrokerCore:
     def _has_miss(
         self, plans: list[tuple[FetchPosition, list[StoredChunk], FetchPosition]]
     ) -> bool:
-        """Would serving ``plans`` as views admit a frame (boundary CRC +
-        record decode), or is every chunk a fan-out cache hit?"""
+        """Would serving ``plans`` as views admit a frame (its boundary
+        CRC), or is every chunk a fan-out cache hit?"""
         return any(
             self.fancache.peek(_cache_key(pos, stored)) is None
             for pos, stored_chunks, _ in plans
@@ -458,12 +458,12 @@ class KeraBrokerCore:
         return plans
 
     def _serve_view(self, pos: FetchPosition, stored: StoredChunk) -> ChunkView:
-        """Decode-ready view of a stored chunk via the fan-out cache.
+        """Verified view of a stored chunk via the fan-out cache.
 
         A miss admits the frame once: CRC re-validation at the serving
         boundary (the established discipline for bytes crossing out of
-        the storage engine) plus one record pre-decode shared by every
-        later consumer.
+        the storage engine), shared by every later consumer. Records are
+        decoded only by a reader that asks for them (``view.records()``).
         """
         return self.fancache.get(_cache_key(pos, stored), stored.encoded_view)
 

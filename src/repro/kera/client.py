@@ -233,10 +233,12 @@ class KeraConsumer:
         cursors.
 
         Views come through the broker's fan-out cache: the frame CRC was
-        re-validated at the serving boundary and the record decode is
-        memoized on the shared view, so ``view.records()`` is free when
-        another consumer group already touched the chunk. Payload bytes
-        are never copied until the caller materializes them.
+        re-validated at the serving boundary, once for every consumer
+        group. Nothing is decoded for the caller: ``view.record_views()``
+        walks the payload in place, and ``view.records()`` decodes on its
+        first call and is memoized on the shared view, so it is free when
+        another consumer group already asked. Payload bytes are never
+        copied until the caller materializes them.
         """
         responses = self.cluster.fetch(
             list(self._positions.values()),

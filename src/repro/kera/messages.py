@@ -116,7 +116,7 @@ class FetchRequest:
     serve_views: bool = False
     #: With ``serve_views``: a plan holding a chunk the fan-out cache does
     #: not have comes back unserved (:attr:`FetchResponse.admit`) instead
-    #: of paying the boundary CRC + decode on the calling thread — the
+    #: of paying the boundary CRC on the calling thread — the
     #: gateway plans on its event loop and admits on a worker.
     defer_admission: bool = False
     #: ``(notify, token)`` of a long-poll: when every position plans

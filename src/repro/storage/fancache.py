@@ -4,7 +4,7 @@ When N consumer groups read the same stream, the seed-era fetch path did
 the expensive part — CRC re-validation at the serving boundary plus
 record decode — once *per consumer*, so aggregate read cost grew linearly
 with fan-out. This module gives the broker one shared LRU cache of
-decode-ready :class:`~repro.wire.views.ChunkView` entries keyed by the
+verified :class:`~repro.wire.views.ChunkView` entries keyed by the
 chunk's virtual address ``(vlog, vseg, chunk)``:
 
 * **vlog** — the virtual log the chunk's group replicates through,
@@ -13,13 +13,16 @@ chunk's virtual address ``(vlog, vseg, chunk)``:
 * **chunk** — the chunk's position within the group, in append order.
 
 Admission does the per-chunk work exactly once, *outside* the cache lock:
-the owning fetcher validates the frame CRC (earning the view's
-``verified`` bit for every later reader in this address space) and
-pre-decodes the record list onto the shared view, so a hit is a dict
-probe plus an LRU touch — a few microseconds against the ~1 ms a cold
-decode costs. Concurrent fetchers of the same missing chunk coordinate
-through a per-key :class:`threading.Event`: one builds, the rest wait,
-nobody decodes twice (asserted by the fan-out concurrency tests).
+the owning fetcher validates the frame CRC, earning the view's
+``verified`` bit for every later reader in this address space. It
+decodes nothing — the gateway relays the frame verbatim and
+``poll_views()`` walks record views — so a reader that does want
+:class:`~repro.wire.record.Record` objects pays for them on its first
+``view.records()`` call, memoized on the shared view. A hit is a dict
+probe plus an LRU touch. Concurrent fetchers of the same missing chunk
+coordinate through a per-key :class:`threading.Event`: one builds, the
+rest wait, nobody validates twice (asserted by the fan-out concurrency
+tests).
 
 Eviction is byte-budgeted LRU. Retirement invalidates: when a group's
 segments are reclaimed the broker drops the group's entries so no
@@ -54,7 +57,7 @@ class FanoutCacheStats:
 
 
 class FanoutCache:
-    """Byte-budgeted LRU of decode-ready chunk views, safe for fan-out.
+    """Byte-budgeted LRU of verified chunk views, safe for fan-out.
 
     ``get`` is the only hot-path entry point; everything else is control
     plane (retirement invalidation, tests, stats).
@@ -76,20 +79,22 @@ class FanoutCache:
         self.misses = Gauge()
         self.evictions = Gauge()
         self.bytes_cached = Gauge()
-        #: Frames decoded by admissions — the fan-out tests compare this
-        #: against the number of distinct hot chunks to pin single-decode.
+        #: Admissions (frames validated). The name predates admission
+        #: dropping its record decode and is kept: the fan-out tests and
+        #: the benchmark's ``storage.fancache_decodes`` compare it against
+        #: the number of distinct hot chunks to pin single admission.
         self.decodes = Gauge()
 
     # -- hot path ------------------------------------------------------------
 
     def get(self, key: CacheKey, load_frame: Callable[[], memoryview | bytes]) -> ChunkView:
-        """Return the decode-ready view for ``key``, admitting it if absent.
+        """Return the verified view for ``key``, admitting it if absent.
 
         ``load_frame`` resolves the encoded frame bytes (typically a
         zero-copy view of the segment buffer); it runs at most once per
         cached lifetime of the key, outside the cache lock, on the thread
         that lost the race to find the entry. Concurrent callers for the
-        same key block on the owner's build instead of decoding again.
+        same key block on the owner's build instead of validating again.
         """
         event: threading.Event | None = None
         while True:
@@ -135,11 +140,10 @@ class FanoutCache:
             return view
 
     def _admit(self, key: CacheKey, load_frame: Callable[[], memoryview | bytes]) -> ChunkView:
-        """The once-per-chunk work: frame CRC at the serving boundary, then
-        one record decode memoized on the shared view."""
+        """The once-per-chunk work: the frame CRC at the serving boundary.
+        No record is decoded here; ``view.records()`` decodes on demand."""
         view = ChunkView(load_frame())
         view.verify_payload()
-        view.records()
         self.decodes.add(1)
         return view
 

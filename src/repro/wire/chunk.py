@@ -308,7 +308,7 @@ def verify_chunks(chunks: Sequence[Chunk], offsets: Sequence[int]) -> None:
     every chunk passes.
 
     Chunks of uniform keyless records are stacked by shape and read by
-    one lane pass each: it yields every record's header checksum, which
+    one :func:`~repro.common.checksum.crc32c_rows` pass each: it yields every record's header checksum, which
     is compared with the stored one (``record at offset N`` of the chunk
     payload on mismatch, as :func:`decode_records` reports it), and the
     payload CRCs are stitched from those record CRCs rather than read a

@@ -29,14 +29,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from repro.common.checksum import (
-    U16LE,
-    crc32c,
-    crc32c_lanes,
-    crc32c_lanes16,
-    crc32c_shift_many,
-    crc32c_u32le_lanes,
-)
+from repro.common.checksum import crc32c, crc32c_rows, crc32c_rows_prepend_u32
 from repro.common.errors import WireFormatError, ChecksumError
 
 #: Size of the always-present header fields (checksum, flags, key_count,
@@ -212,7 +205,8 @@ def uniform_keyless_frames(buf: bytes | bytearray | memoryview) -> np.ndarray | 
     return frames
 
 
-#: Most records one lane pass takes. It bounds the pass's widened
+#: Most records one checksum pass takes (above the positional tables'
+#: row crossover that is a lane pass). It bounds the pass's widened
 #: ``intp`` matrix (8 bytes per 2 of payload: 3 MB here for 100-byte
 #: records, where an unbounded 64 MB response would ask for 256 MB) and
 #: keeps its per-step vectors cache-sized — measured 226 ns/record at 5 k
@@ -220,27 +214,20 @@ def uniform_keyless_frames(buf: bytes | bytearray | memoryview) -> np.ndarray | 
 _LANE_SLAB = 8192
 
 
-def _covered_crcs(rows: np.ndarray) -> np.ndarray:
-    # order="C" keeps each word row contiguous, which the lane engine's
-    # per-row gathers read ~1.5x faster than the transposed layout.
-    if rows.shape[1] % 2 == 0:
-        return crc32c_lanes16(rows.view(U16LE)[:, 2:].T.astype(np.intp, order="C"))
-    return crc32c_lanes(rows[:, 4:].T.astype(np.intp, order="C"))
-
-
 def uniform_frame_checksums(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(stored, actual)`` header checksums of uniform record ``frames``.
 
     ``frames`` is any C-contiguous uint8 array whose last axis is one
     record (:func:`uniform_keyless_frames`, or several such matrices
-    stacked); both results have its leading shape. One lane pass (per
+    stacked); both results have its leading shape. One
+    :func:`~repro.common.checksum.crc32c_rows` pass (per
     :data:`_LANE_SLAB` records) reads every covered region — the
     decode-side mirror of :func:`_encode_uniform_keyless`.
     """
     rows = frames.reshape(-1, frames.shape[-1])
     stored = rows[:, :4].copy().view(_U32LE).reshape(frames.shape[:-1])
     actual = np.concatenate(
-        [_covered_crcs(rows[i : i + _LANE_SLAB]) for i in range(0, len(rows), _LANE_SLAB)]
+        [crc32c_rows(rows[i : i + _LANE_SLAB], 4) for i in range(0, len(rows), _LANE_SLAB)]
     )
     return stored, actual.reshape(stored.shape)
 
@@ -249,12 +236,12 @@ def uniform_frame_crcs(stored: np.ndarray, actual: np.ndarray, size: int) -> np.
     """CRC of each whole ``size``-byte record (checksum field included).
 
     Composed from :func:`uniform_frame_checksums`' results the way the
-    encoder does it: the CRC of the four stored-checksum bytes pushed
-    over the covered region, XOR the covered CRC (GF(2) linearity) — so
-    a payload CRC can be stitched from its records without reading them
-    again (:func:`~repro.common.checksum.crc32c_concat_rows`).
+    encoder does it: the four stored-checksum bytes folded into the
+    covered CRC (GF(2) linearity) — so a payload CRC can be stitched from
+    its records without reading them again
+    (:func:`~repro.common.checksum.crc32c_concat_rows`).
     """
-    return crc32c_shift_many(crc32c_u32le_lanes(stored), size - 4) ^ actual
+    return crc32c_rows_prepend_u32(stored, actual, size)
 
 
 def _uniform_records(frames: np.ndarray) -> list[Record]:
@@ -272,8 +259,9 @@ def decode_records(
     """Decode every record in ``buf``; see :func:`iter_records`.
 
     A buffer of uniform keyless records — what the batch encoders emit
-    for the paper's benchmark workload — is checked in one lane pass and
-    its values sliced out of one ``bytes``; the result, and the
+    for the paper's benchmark workload — is checked in one
+    :func:`~repro.common.checksum.crc32c_rows` pass and its values
+    sliced out of one ``bytes``; the result, and the
     :class:`ChecksumError` for the first corrupt record, are those of the
     per-record loop (property-tested), which decodes every other shape.
     """
@@ -297,11 +285,11 @@ def _encode_uniform_keyless(
     """Vectorized encoder for equal-length keyless, attribute-less records.
 
     Every record shares the 6-byte post-checksum header (flags=0,
-    key_count=0, value_len), so the CRC-covered region of record ``i`` is
-    ``prefix + values[i]`` — one :func:`crc32c_lanes` call checksums the
-    whole batch, and the output frames are assembled as one uint8 matrix.
-    ``values_blob`` is the ``n`` values concatenated back to back.
-    Byte-identical to the per-record encoder (golden-tested).
+    key_count=0, value_len), so the frames are assembled as one uint8
+    matrix and one :func:`~repro.common.checksum.crc32c_rows` call over
+    its covered columns checksums the whole batch. ``values_blob`` is
+    the ``n`` values concatenated back to back. Byte-identical to the
+    per-record encoder (golden-tested).
 
     With ``with_crcs`` the return is ``(blob, full_crcs)`` where
     ``full_crcs[i]`` is the CRC over record ``i``'s *entire* encoded
@@ -309,33 +297,19 @@ def _encode_uniform_keyless(
     just computed, so chunk sealing can checksum a whole payload via
     :func:`~repro.common.checksum.crc32c_concat` without re-reading it.
     """
-    prefix = np.frombuffer(
+    size = RECORD_FIXED_HEADER + value_len
+    out = np.empty((n, size), dtype=np.uint8)
+    out[:, 4:RECORD_FIXED_HEADER] = np.frombuffer(
         struct.pack("<BBI", 0, 0, value_len), dtype=np.uint8
     )
-    values = np.frombuffer(values_blob, dtype=np.uint8).reshape(n, value_len)
-    covered = np.empty((n, 6 + value_len), dtype=np.uint8)
-    covered[:, :6] = prefix
-    covered[:, 6:] = values
-    if value_len % 2 == 0:
-        # Even covered length: the word-table engine halves the gather
-        # count per slicing step (value_len is even for the benchmark's
-        # uniform records, so this is the hot branch).
-        crcs = crc32c_lanes16(covered.view(U16LE).T.astype(np.intp))
-    else:
-        crcs = crc32c_lanes(np.ascontiguousarray(covered.T).astype(np.intp))
-    out = np.empty((n, RECORD_FIXED_HEADER + value_len), dtype=np.uint8)
-    out[:, 0] = (crcs & 0xFF).astype(np.uint8)
-    out[:, 1] = ((crcs >> 8) & 0xFF).astype(np.uint8)
-    out[:, 2] = ((crcs >> 16) & 0xFF).astype(np.uint8)
-    out[:, 3] = (crcs >> 24).astype(np.uint8)
-    out[:, 4:10] = prefix
-    out[:, 10:] = values
+    out[:, RECORD_FIXED_HEADER:] = np.frombuffer(values_blob, dtype=np.uint8).reshape(
+        n, value_len
+    )
+    crcs = crc32c_rows(out, 4)
+    out[:, :4] = crcs.astype(_U32LE).view(np.uint8).reshape(n, 4)
     if not with_crcs:
         return out.tobytes()
-    # Full-record CRC = CRC of the 4 stored-checksum bytes pushed over
-    # the covered region, XOR the covered CRC (GF(2) linearity).
-    full = crc32c_shift_many(crc32c_u32le_lanes(crcs), 6 + value_len) ^ crcs
-    return out.tobytes(), full
+    return out.tobytes(), uniform_frame_crcs(crcs, crcs, size)
 
 
 def encode_records(records: list[Record] | tuple[Record, ...]) -> bytes:
@@ -372,11 +346,12 @@ def encode_keyless_values(values: "list[bytes] | tuple[bytes, ...]") -> bytes:
     The no-:class:`Record` twin of :func:`encode_records` for the
     paper's benchmark workload: producers stage raw value bytes and
     batch-encode at chunk-seal time, skipping one dataclass per record.
-    Uniform-length batches take the lane-parallel CRC path.
+    Uniform-length batches take the vectorized path
+    (:func:`~repro.common.checksum.crc32c_rows`).
     """
     if len(values) >= _VECTOR_MIN_RECORDS:
-        value_len = len(values[0])
-        if all(len(v) == value_len for v in values):
+        value_len = min(map(len, values))
+        if value_len == max(map(len, values)):
             return _encode_uniform_keyless(
                 b"".join(values), len(values), value_len
             )
@@ -397,8 +372,8 @@ def encode_keyless_values_with_crcs(
     usual.
     """
     if len(values) >= _VECTOR_MIN_RECORDS:
-        value_len = len(values[0])
-        if all(len(v) == value_len for v in values):
+        value_len = min(map(len, values))
+        if value_len == max(map(len, values)):
             return _encode_uniform_keyless(
                 b"".join(values), len(values), value_len, with_crcs=True
             )

@@ -38,7 +38,7 @@ from repro.wire.chunk import (
     Chunk,
     decode_chunk,
 )
-from repro.wire.record import RECORD_FIXED_HEADER, Record
+from repro.wire.record import RECORD_FIXED_HEADER, Record, decode_records
 
 _CHUNK_HEADER = struct.Struct("<HBBIIIIIIIII")
 _RECORD_FIXED = struct.Struct("<IBBI")
@@ -291,19 +291,21 @@ class ChunkView:
             offset = view.end_offset
 
     def records(self) -> list[Record]:
-        """Materialized records, memoized on the view.
+        """Materialized records, decoded on the first call and memoized.
 
-        Decodes *without* per-record checksum verification: the chunk CRC
-        covers every payload byte and callers hold views whose
-        ``verified`` bit the serving boundary already earned. Call
-        :meth:`RecordView.verify` per record when scanning bytes of
-        unknown provenance. The memo makes repeated consumption free;
-        pre-warm it (or rely on the fan-out cache's admission doing so)
-        before sharing one view across threads.
+        Decodes *without* per-record checksum verification
+        (:func:`~repro.wire.record.decode_records` with ``verify=False``:
+        the vectorized path for uniform keyless payloads, the per-record
+        loop for any other shape): the chunk CRC covers every payload
+        byte and callers hold views whose ``verified`` bit the serving
+        boundary already earned. Call :meth:`RecordView.verify` per record
+        when scanning bytes of unknown provenance. The memo makes repeated
+        consumption free. Threads sharing one view may race on the first
+        call: each then decodes, and each publishes an equal list.
         """
         records = self._records
         if records is None:
-            records = [v.to_record() for v in self.record_views()]
+            records = decode_records(self.payload_view, verify=False)
             self._records = records
         return records
 

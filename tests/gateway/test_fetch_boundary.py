@@ -16,7 +16,6 @@ from repro.common.errors import ChecksumError, WireFormatError
 from repro.gateway import protocol
 from repro.gateway.protocol import GatewayError
 from repro.kera.messages import ChunkAssignment, FetchPosition
-from repro.wire import record as record_module
 from repro.wire.chunk import CHUNK_HEADER_SIZE, Chunk, decode_chunk, encode_chunk
 from repro.wire.record import Record, encode_records
 
@@ -208,17 +207,27 @@ def test_boundary_validated_chunk_survives_assignment():
 
 @pytest.fixture
 def lane_passes(monkeypatch):
-    """Count every lane-engine call, whichever module made it."""
+    """Count every multi-row checksum pass as ``(engine, (rows, bytes
+    per row))``, whichever engine ran: the lane engines (row ``j`` of
+    their matrix is word or byte ``j`` of every lane) or the positional
+    tables (one row per record, hashed from ``start``)."""
     calls = []
-    for name in ("crc32c_lanes16", "crc32c_lanes"):
+    shapes = {
+        "crc32c_lanes16": lambda m, *_: (m.shape[1], 2 * m.shape[0]),
+        "crc32c_lanes": lambda m, *_: (m.shape[1], m.shape[0]),
+        "_crc32c_rows_tabled": lambda rows, start, *_: (
+            rows.shape[0],
+            rows.shape[1] - start,
+        ),
+    }
+    for name, shape in shapes.items():
         real = getattr(checksum, name)
 
-        def counting(m, _real=real, _name=name):
-            calls.append((_name, m.shape))
-            return _real(m)
+        def counting(*args, _real=real, _name=name, _shape=shape):
+            calls.append((_name, _shape(*args)))
+            return _real(*args)
 
         monkeypatch.setattr(checksum, name, counting)
-        monkeypatch.setattr(record_module, name, counting)
     return calls
 
 
@@ -236,9 +245,13 @@ def test_empty_and_sub_threshold_responses_make_no_lane_pass(lane_passes):
 
 def test_whole_response_is_one_lane_pass_per_record_shape(lane_passes):
     _, entries = protocol.decode_fetch_ok(response(MIXED))
-    # 120 records of 100 bytes in one pass of 48 words, 25 of 43 bytes in
-    # one of 39 bytes — not one pass per chunk.
-    assert sorted(lane_passes) == [("crc32c_lanes", (39, 25)), ("crc32c_lanes16", (48, 120))]
+    # 120 records of 100 bytes in one pass over their 96 covered bytes,
+    # 25 of 43 bytes in one over 39 — not one pass per chunk. Both are
+    # under the positional tables' row crossover.
+    assert sorted(lane_passes) == [
+        ("_crc32c_rows_tabled", (25, 39)),
+        ("_crc32c_rows_tabled", (120, 96)),
+    ]
     del lane_passes[:]
     for _, _, chunks in entries:
         for chunk in chunks:

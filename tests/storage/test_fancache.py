@@ -1,5 +1,6 @@
-"""Fan-out chunk cache: LRU accounting, gauges, single-decode under
-concurrency, and retirement invalidation."""
+"""Fan-out chunk cache: LRU accounting, gauges, single admission under
+concurrency, admission that decodes nothing, and retirement
+invalidation."""
 
 import threading
 
@@ -38,7 +39,9 @@ def test_miss_admits_then_hit_returns_same_view():
     assert first is second
     assert len(loads) == 1  # load_frame ran once per cached lifetime
     assert first.verified  # admission re-validated the CRC
-    assert first.records()  # pre-decoded at admission
+    assert first._records is None  # and decoded nothing
+    assert first.records() == [Record(value=b"A" * 32)] * 4  # decoded on demand
+    assert first.records() is first.records()  # memoized on the shared view
     stats = cache.stats()
     assert (stats.hits, stats.misses, stats.entries) == (1, 1, 1)
     assert stats.bytes_cached == first.size
@@ -99,8 +102,8 @@ def test_failed_admission_clears_inflight_marker():
 
 
 def test_concurrent_getters_decode_once():
-    """N threads racing on the same cold key: one admission, one decode,
-    every caller handed the same shared view object."""
+    """N threads racing on the same cold key: one admission, every caller
+    handed the same shared view object."""
     cache = FanoutCache(1 << 20)
     frame = make_frame()
     barrier = threading.Barrier(8)
@@ -150,6 +153,41 @@ def test_concurrent_distinct_keys_decode_each_once():
         t.join()
     assert errors == []
     assert cache.decodes.value == 16  # one admission per distinct hot chunk
+
+
+def test_admission_constructs_no_record_or_record_view(monkeypatch):
+    """Admission checks the frame CRC and nothing else: no RecordView is
+    built and no Record is materialized until a reader asks."""
+    from repro.wire import record as record_module
+    from repro.wire import views as views_module
+
+    built = []
+    real_view_init = views_module.RecordView.__init__
+
+    def counting_view_init(self, *args, **kwargs):
+        built.append("RecordView")
+        real_view_init(self, *args, **kwargs)
+
+    def counting_record(*args, **kwargs):
+        built.append("Record")
+        return Record(*args, **kwargs)
+
+    monkeypatch.setattr(views_module.RecordView, "__init__", counting_view_init)
+    monkeypatch.setattr(record_module, "Record", counting_record)
+    monkeypatch.setattr(views_module, "Record", counting_record)
+    frames = {seq: make_frame(seq, n_records=40) for seq in range(4)}
+    frames[4] = make_frame(4, n_records=3)  # below the vectorized decoder's floor
+    cache = FanoutCache(1 << 20)
+    views = [cache.get(key_for(seq), lambda s=seq: frames[s]) for seq in frames]
+    assert all(view.verified for view in views)
+    assert cache.decodes.value == len(frames)
+    assert built == []
+    # The first reader pays for the records, once, on the shared view.
+    assert len(views[0].records()) == 40
+    assert len(views[4].records()) == 3
+    assert built.count("Record") == 43
+    views[0].records()
+    assert built.count("Record") == 43
 
 
 def test_capacity_must_be_positive():

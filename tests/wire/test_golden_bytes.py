@@ -54,16 +54,16 @@ def test_golden_record_decodes_through_the_vectorized_path(monkeypatch):
     from repro.wire import record as record_module
 
     passes = []
-    real = record_module.crc32c_lanes
+    real = record_module.crc32c_rows
 
-    def counting(m):
-        passes.append(m.shape)
-        return real(m)
+    def counting(rows, start=0):
+        passes.append((rows.shape[0], rows.shape[1] - start))
+        return real(rows, start)
 
-    monkeypatch.setattr(record_module, "crc32c_lanes", counting)
+    monkeypatch.setattr(record_module, "crc32c_rows", counting)
     golden, golden_hex = RECORD_GOLDEN[0]
     assert decode_records(bytes.fromhex(golden_hex * 9)) == [golden] * 9
-    assert passes == [(11, 9)]  # 6 header + 5 value bytes covered, 9 lanes
+    assert passes == [(9, 11)]  # 9 rows, 6 header + 5 value bytes covered
 
 
 # -- chunk golden bytes -----------------------------------------------------
