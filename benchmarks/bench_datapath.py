@@ -301,14 +301,6 @@ def stage_encode_append_ship(pool: list[Record], chunks_per_iter: int):
     return run
 
 
-def _fetch_field(name: str) -> bool:
-    """Whether this checkout's FetchRequest knows ``name`` (the reader-plane
-    stages run unchanged against pre-refactor checkouts to record baselines)."""
-    import dataclasses
-
-    return any(f.name == name for f in dataclasses.fields(FetchRequest))
-
-
 def _preloaded_broker(pool: list[Record], n_chunks: int):
     """A broker holding ``n_chunks`` durably-replicated chunks of stream 1."""
     broker, backups = _fresh_broker_and_backups()
@@ -321,20 +313,14 @@ def _preloaded_broker(pool: list[Record], n_chunks: int):
 
 
 def stage_consume_decode(pool: list[Record], n_chunks: int):
-    """The consume path: fetch every durable chunk and decode its records.
+    """The consume path: fetch every durable chunk and walk its records.
 
-    On a pre-refactor checkout the fetch re-encodes stored chunks
-    (``to_wire_chunk``: header decode + payload copy) and the consumer
-    decodes record by record with per-record CRC verification — the
-    seed-era read path. With the reader plane in place the fetch serves
-    cached, CRC-validated frame views and the consumer walks lazy record
-    views without copying a payload byte.
+    The fetch serves cached, CRC-validated frame views and the consumer
+    walks lazy record views without copying a payload byte.
     """
     broker = _preloaded_broker(pool, n_chunks)
-    serve_views = _fetch_field("serve_views")
     request_ids = itertools.count(100)
     position = FetchPosition(stream_id=1, streamlet_id=0, entry=0)
-    extra = {"serve_views": True} if serve_views else {}
 
     def run():
         request = FetchRequest(
@@ -342,21 +328,15 @@ def stage_consume_decode(pool: list[Record], n_chunks: int):
             consumer_id=1,
             positions=[position],
             max_chunks_per_entry=n_chunks,
-            **extra,
         )
         response = broker.handle_fetch(request)
         records = 0
         nbytes = 0
         for entry in response.entries:
             for chunk in entry.chunks:
-                if serve_views:
-                    for rv in chunk.record_views():
-                        records += 1
-                        nbytes += rv.value_len
-                else:
-                    for record in chunk.records():
-                        records += 1
-                        nbytes += len(record.value)
+                for rv in chunk.record_views():
+                    records += 1
+                    nbytes += rv.value_len
         assert records == n_chunks * RECORDS_PER_CHUNK
         return records, nbytes
 
@@ -367,11 +347,10 @@ def _fanout_consumer(cluster, consumer_id: int, total_records: int, rates: dict)
     from repro.kera.client import KeraConsumer
 
     consumer = KeraConsumer(cluster, consumer_id, [1])
-    poll = getattr(consumer, "poll_views", None) or consumer.poll_chunks
     read = 0
     t0 = time.perf_counter()
     while read < total_records:
-        polled = sum(len(c.records()) for c in poll(64))
+        polled = sum(len(c.records()) for c in consumer.poll_views(64))
         if polled == 0:
             time.sleep(0.001)
         read += polled

@@ -140,7 +140,6 @@ PROTOCOLS: dict[str, dict[str, MethodSpec]] = {
             kwonly=(
                 "consumer_id",
                 "max_chunks_per_entry",
-                "serve_views",
                 "defer_admission",
                 "watch",
             ),

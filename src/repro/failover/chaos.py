@@ -34,7 +34,7 @@ from repro.failover.plane import FailoverPlane, FailoverReport
 from repro.kera.live import LiveKeraCluster
 from repro.kera.messages import FetchPosition
 from repro.wire.chunk import ChunkBuilder
-from repro.wire.record import Record, encode_records
+from repro.wire.record import Record, decode_records, encode_records
 
 #: Errors a producer treats as "refresh routing and retry the same chunk".
 RETRYABLE = (NotLeaderError, ReplicationError, RpcError)
@@ -178,8 +178,8 @@ def _fetch_all_values(
                 )[0]
                 got = 0
                 for fetch_entry in response.entries:
-                    for chunk in fetch_entry.chunks:
-                        records = chunk.records(verify=True)
+                    for view in fetch_entry.chunks:
+                        records = decode_records(view.payload_view, verify=True)
                         got += len(records)
                         values.extend(r.value for r in records)
                     position = fetch_entry.next_position

@@ -31,11 +31,11 @@ pool. Concurrency shape per connection:
   contiguous) and drain lets the transport pack many small responses per
   syscall.
 
-Fetch responses are served through the cluster's zero-copy view path
-(``serve_views=True``): the chunk-frame memoryviews coming out of the
-shared fan-out cache are handed to the stream writer verbatim — many
-consumer connections polling the same hot chunks hit one cached,
-CRC-validated frame, and the gateway never materializes payload bytes.
+Fetch responses are served through the cluster's one read path: the
+chunk-frame memoryviews coming out of the shared fan-out cache are
+handed to the stream writer verbatim — many consumer connections
+polling the same hot chunks hit one cached, CRC-validated frame, and
+the gateway never materializes payload bytes.
 
 Failure containment: a request that raises server-side returns a
 ``GW_ERROR`` frame carrying the message; a connection that sends garbage
@@ -697,7 +697,6 @@ class GatewayServer:
             positions,
             consumer_id=consumer_id,
             max_chunks_per_entry=max_chunks,
-            serve_views=True,
             defer_admission=True,
             watch=None if waiter is None else (self._on_durable, waiter),
         )

@@ -176,15 +176,6 @@ class KafkaBrokerCore:
             response.append((item, batches, next_offset))
         return response
 
-    def has_replica_data(self, follower: int, items: list[ReplicaFetchItem]) -> bool:
-        """Whether any followed partition has batches past the follower's
-        offsets (long-poll wake-up test)."""
-        for item in items:
-            log = self.log(item.topic, item.partition)
-            if log.log_end_offset > item.next_offset:
-                return True
-        return False
-
     # -- follower side ----------------------------------------------------------------------
 
     def apply_replica_batches(

@@ -140,7 +140,3 @@ class PartitionLog:
         if offset >= end:
             return [], offset
         return self.batches[offset:end], end
-
-    @property
-    def pending_acks(self) -> int:
-        return len(self._pending)

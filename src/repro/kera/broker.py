@@ -33,7 +33,6 @@ from repro.storage.memory import SegmentAllocator
 from repro.storage.offsets import StreamletCursor
 from repro.storage.segment import StoredChunk
 from repro.storage.stream import Stream, StreamRegistry
-from repro.wire.chunk import Chunk
 from repro.wire.views import ChunkView
 from repro.kera.messages import (
     ChunkAssignment,
@@ -86,7 +85,6 @@ class KeraBrokerCore:
         storage_config: StorageConfig,
         replication_config: ReplicationConfig,
         on_request_complete: RequestDoneCallback | None = None,
-        zero_copy_fetch: bool = False,
         fanout_cache_bytes: int = 64 * MB,
     ) -> None:
         self.broker_id = broker_id
@@ -101,14 +99,9 @@ class KeraBrokerCore:
             on_durable=self._on_chunk_durable,
         )
         self.on_request_complete = on_request_complete
-        #: When set, fetch responses carry StoredChunk references instead
-        #: of re-encoded wire chunks — the zero-copy read path the paper's
-        #: shared client/broker binary format enables. The simulation
-        #: driver uses it; serialization-boundary drivers must re-encode.
-        self.zero_copy_fetch = zero_copy_fetch
-        #: Shared hot-chunk cache for the view-serving fetch path: N
-        #: consumer groups fanning out over one stream validate each hot
-        #: chunk once, keyed by (vlog, vseg, chunk).
+        #: Shared hot-chunk cache every fetch of materialized segments is
+        #: served from: N consumer groups fanning out over one stream
+        #: validate each hot chunk once, keyed by (vlog, vseg, chunk).
         self.fancache = FanoutCache(fanout_cache_bytes)
         # Exactly-once state.
         self._last_durable_seq: dict[tuple[int, int, int], int] = {}
@@ -366,10 +359,16 @@ class KeraBrokerCore:
 
         Cursor resolution (including ``seek_record`` repositioning through
         the offset index) happens under the broker mutex; the per-chunk
-        serving work — cache admission with its boundary CRC, or legacy
-        re-encode — happens *outside* it, against
-        immutable durable bytes, so concurrent consumer groups don't
-        serialize on the produce path's lock.
+        serving work — fan-out cache admission with its boundary CRC —
+        happens *outside* it, against immutable durable bytes, so
+        concurrent consumer groups don't serialize on the produce path's
+        lock.
+
+        The segments decide the response form, not the caller:
+        materialized segments are served as verified
+        :class:`~repro.wire.views.ChunkView` objects through the fan-out
+        cache; metadata-only segments (the simulator) have no bytes to
+        view and are served as their :class:`StoredChunk` references.
         """
         with self._mutex:
             plans = self._plan_fetch(request)
@@ -380,11 +379,11 @@ class KeraBrokerCore:
                     notify,
                     token,
                 )
-        if request.serve_views and request.defer_admission and self._has_miss(plans):
+        if request.defer_admission and self._has_miss(plans):
             return FetchResponse(
                 request_id=request.request_id,
                 entries=[
-                    FetchEntry(position=pos, chunks=stored, next_position=nxt)  # type: ignore[arg-type]
+                    FetchEntry(position=pos, chunks=stored, next_position=nxt)
                     for pos, stored, nxt in plans
                 ],
                 admit=lambda: self._serve_fetch(request, plans),
@@ -394,8 +393,8 @@ class KeraBrokerCore:
     def _has_miss(
         self, plans: list[tuple[FetchPosition, list[StoredChunk], FetchPosition]]
     ) -> bool:
-        """Would serving ``plans`` as views admit a frame (its boundary
-        CRC), or is every chunk a fan-out cache hit?"""
+        """Would serving ``plans`` admit a frame (its boundary CRC), or is
+        every chunk a fan-out cache hit?"""
         return any(
             self.fancache.peek(_cache_key(pos, stored)) is None
             for pos, stored_chunks, _ in plans
@@ -407,17 +406,16 @@ class KeraBrokerCore:
         request: FetchRequest,
         plans: list[tuple[FetchPosition, list[StoredChunk], FetchPosition]],
     ) -> FetchResponse:
-        """Turn planned chunk runs into the response form the request
-        asked for. Lock-free: durable bytes are immutable."""
+        """Turn planned chunk runs into served chunks (see
+        :meth:`handle_fetch`). Lock-free: durable bytes are immutable."""
+        materialized = self.storage_config.materialize
         entries: list[FetchEntry] = []
         for pos, stored_chunks, next_position in plans:
-            chunks: list[Chunk] | list[ChunkView]
-            if request.serve_views:
+            chunks: list[ChunkView] | list[StoredChunk]
+            if materialized:
                 chunks = [self._serve_view(pos, s) for s in stored_chunks]
-            elif self.zero_copy_fetch:
-                chunks = stored_chunks  # type: ignore[assignment]
             else:
-                chunks = [s.to_wire_chunk() for s in stored_chunks]
+                chunks = stored_chunks
             entries.append(
                 FetchEntry(position=pos, chunks=chunks, next_position=next_position)
             )

@@ -6,7 +6,11 @@ plays the source thread (append records to per-streamlet chunk buffers,
 round-robin or by key hash), :meth:`KeraProducer.flush` plays the
 requests thread (gather filled chunks into per-broker requests and push).
 The consumer keeps a fetch position per (streamlet, active entry) and
-iterates durably-replicated records in order.
+iterates durably-replicated records in order. It has one fetch round,
+:meth:`KeraConsumer.poll_views`: zero-copy chunk views out of the
+brokers' fan-out cache, CRC-verified once at admission for every
+consumer group; :meth:`KeraConsumer.poll` and :meth:`KeraConsumer.drain`
+decode those views and check every record's header checksum on top.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from repro.common.errors import ConfigError
 from repro.common.idgen import IdGenerator
 from repro.wire.chunk import Chunk, ChunkBuilder, CHUNK_HEADER_SIZE
 from repro.wire.pool import BufferPool
-from repro.wire.record import Record
+from repro.wire.record import Record, decode_records
 from repro.wire.views import ChunkView
 from repro.kera.live import LiveKeraCluster
 from repro.kera.messages import FetchPosition
@@ -208,26 +212,6 @@ class KeraConsumer:
                     )
         self.stats = ConsumerStats()
 
-    def poll_chunks(self, max_chunks_per_entry: int = 16) -> list[Chunk]:
-        """One fetch round over every position; advances the cursors."""
-        responses = self.cluster.fetch(
-            list(self._positions.values()),
-            consumer_id=self.consumer_id,
-            max_chunks_per_entry=max_chunks_per_entry,
-        )
-        out: list[Chunk] = []
-        self.stats.fetches += len(responses)
-        for response in responses:
-            for entry in response.entries:
-                pos = entry.position
-                self._positions[(pos.stream_id, pos.streamlet_id, pos.entry)] = (
-                    entry.next_position
-                )
-                out.extend(entry.chunks)
-                self.stats.chunks_read += len(entry.chunks)
-                self.stats.records_read += entry.record_count
-        return out
-
     def poll_views(self, max_chunks_per_entry: int = 16) -> list[ChunkView]:
         """One fetch round returning zero-copy chunk views; advances the
         cursors.
@@ -244,7 +228,6 @@ class KeraConsumer:
             list(self._positions.values()),
             consumer_id=self.consumer_id,
             max_chunks_per_entry=max_chunks_per_entry,
-            serve_views=True,
         )
         out: list[ChunkView] = []
         self.stats.fetches += len(responses)
@@ -260,10 +243,12 @@ class KeraConsumer:
         return out
 
     def poll(self, max_chunks_per_entry: int = 16) -> list[Record]:
-        """Like :meth:`poll_chunks` but decoded to records (live mode)."""
+        """Like :meth:`poll_views` but decoded to records, each record's
+        header checksum verified (the view's frame CRC was checked at
+        admission; this re-proves every record on top)."""
         records: list[Record] = []
-        for chunk in self.poll_chunks(max_chunks_per_entry):
-            records.extend(chunk.records())
+        for view in self.poll_views(max_chunks_per_entry):
+            records.extend(decode_records(view.payload_view, verify=True))
         return records
 
     def drain(self, *, max_rounds: int = 1000) -> list[Record]:

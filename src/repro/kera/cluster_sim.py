@@ -128,7 +128,7 @@ class SimKeraCluster(BaseSimCluster):
         super().__init__(
             workload or SimWorkload(),
             cost or CostModel(),
-            system=KeraSystem(self.config, zero_copy_fetch=True),
+            system=KeraSystem(self.config),
             q_active_groups=self.config.storage.q_active_groups,
             chunk_size=self.config.chunk_size,
             linger=self.config.linger,

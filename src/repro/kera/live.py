@@ -564,7 +564,6 @@ class LiveKeraCluster:
         *,
         consumer_id: int,
         max_chunks_per_entry: int = 16,
-        serve_views: bool = False,
         defer_admission: bool = False,
         watch: tuple[WatchNotify, object] | None = None,
     ) -> list[FetchResponse]:
@@ -587,7 +586,6 @@ class LiveKeraCluster:
                 consumer_id=consumer_id,
                 positions=group,
                 max_chunks_per_entry=max_chunks_per_entry,
-                serve_views=serve_views,
                 defer_admission=defer_admission,
                 watch=watch,
             )

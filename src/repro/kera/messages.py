@@ -15,9 +15,13 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.wire.chunk import Chunk
 from repro.wire.views import ChunkView
+
+if TYPE_CHECKING:
+    from repro.storage.segment import StoredChunk
 
 #: ``notify(tokens)``: the watch tokens one durability step woke, in one
 #: call per registered callable (``KeraBrokerCore.watch``).
@@ -101,23 +105,21 @@ class FetchRequest:
     """One pull: up to ``max_chunks_per_entry`` durable chunks per position
     (the paper's consumers pull ``one chunk per streamlet`` per request).
 
-    With ``serve_views=True`` the broker answers with zero-copy
-    :class:`~repro.wire.views.ChunkView` objects over indexed frame
-    ranges, deduplicated through the shared fan-out cache — the reader
-    plane's fast path. The default stays the seed-era materialized-chunk
-    form so existing drivers (and the fig13 simulation) are byte-for-byte
-    unchanged.
+    The broker answers in the binary format the producers wrote: each
+    chunk is a zero-copy :class:`~repro.wire.views.ChunkView` over its
+    segment frame, CRC-verified once in the shared fan-out cache
+    (metadata-only segments have no bytes to view; see
+    :meth:`~repro.kera.broker.KeraBrokerCore.handle_fetch`).
     """
 
     request_id: int
     consumer_id: int
     positions: list[FetchPosition]
     max_chunks_per_entry: int = 1
-    serve_views: bool = False
-    #: With ``serve_views``: a plan holding a chunk the fan-out cache does
-    #: not have comes back unserved (:attr:`FetchResponse.admit`) instead
-    #: of paying the boundary CRC on the calling thread — the
-    #: gateway plans on its event loop and admits on a worker.
+    #: A plan holding a chunk the fan-out cache does not have comes back
+    #: unserved (:attr:`FetchResponse.admit`) instead of paying the
+    #: boundary CRC on the calling thread — the gateway plans on its
+    #: event loop and admits on a worker.
     defer_admission: bool = False
     #: ``(notify, token)`` of a long-poll: when every position plans
     #: empty the broker core registers the token as a durability watcher
@@ -134,14 +136,16 @@ class FetchRequest:
 class FetchEntry:
     """Chunks for one position plus the advanced cursor.
 
-    ``chunks`` holds :class:`Chunk` objects on the legacy path and
-    :class:`~repro.wire.views.ChunkView` objects when the request asked
-    for ``serve_views`` — both expose ``size``/``record_count``, so the
-    accounting below is form-agnostic.
+    ``chunks`` holds verified :class:`~repro.wire.views.ChunkView`
+    objects when the broker's segments are materialized, and the
+    :class:`~repro.storage.segment.StoredChunk` references themselves
+    when they are metadata-only (the simulator) or the admission was
+    deferred — all expose ``size``/``record_count``, so the accounting
+    below is form-agnostic.
     """
 
     position: FetchPosition
-    chunks: list[Chunk] | list[ChunkView]
+    chunks: list[ChunkView] | list[StoredChunk]
     next_position: FetchPosition
 
     @property

@@ -44,9 +44,8 @@ class KeraSystem(SystemAdapter):
 
     name = "kera"
 
-    def __init__(self, config: Any, *, zero_copy_fetch: bool = False) -> None:
+    def __init__(self, config: Any) -> None:
         self.config = config
-        self.zero_copy_fetch = zero_copy_fetch
         self.node_ids = list(range(config.num_brokers))
         self.broker_cores: dict[int, Any] = {}
         self.backup_cores: dict[int, Any] = {}
@@ -63,7 +62,6 @@ class KeraSystem(SystemAdapter):
                 storage_config=config.storage,
                 replication_config=config.replication,
                 on_request_complete=completion.callback_for(node),
-                zero_copy_fetch=self.zero_copy_fetch,
                 fanout_cache_bytes=config.fanout_cache_bytes,
             )
             self.backup_cores[node] = KeraBackupCore(**self.backup_core_kwargs(node))

@@ -1,8 +1,8 @@
 """Shared hot-chunk cache for consumer fan-out.
 
-When N consumer groups read the same stream, the seed-era fetch path did
-the expensive part — CRC re-validation at the serving boundary plus
-record decode — once *per consumer*, so aggregate read cost grew linearly
+When N consumer groups read the same stream, a fetch path without a
+shared cache does the expensive part — CRC re-validation at the serving
+boundary — once *per consumer*, so aggregate read cost grows linearly
 with fan-out. This module gives the broker one shared LRU cache of
 verified :class:`~repro.wire.views.ChunkView` entries keyed by the
 chunk's virtual address ``(vlog, vseg, chunk)``:

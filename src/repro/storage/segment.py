@@ -72,8 +72,8 @@ class StoredChunk:
 
     @property
     def size(self) -> int:
-        """Wire size alias so responses can account stored chunks and wire
-        chunks uniformly (zero-copy fetch path)."""
+        """Wire size alias so responses can account stored chunks and
+        chunk views uniformly (metadata-only fetch path)."""
         return self.length
 
     @property
@@ -93,7 +93,7 @@ class StoredChunk:
         return chunk
 
     def to_wire_chunk(self) -> Chunk:
-        """Wire form of this chunk for replication/fetch responses.
+        """Wire form of this chunk for replication and migration.
 
         Real bytes when the segment is materialized; an accounting-
         equivalent metadata chunk otherwise. Placement tags are carried

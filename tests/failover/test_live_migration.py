@@ -25,7 +25,7 @@ from repro.kera import KeraConfig, migrate_streamlet
 from repro.kera.messages import FetchPosition
 from repro.kera.socket_cluster import SocketKeraCluster
 from repro.wire.chunk import ChunkBuilder
-from repro.wire.record import Record, encode_records
+from repro.wire.record import Record, decode_records, encode_records
 
 STREAM = 7
 STREAMLETS = 4
@@ -81,8 +81,8 @@ def _values(response):
     return [
         record.value
         for entry in response.entries
-        for chunk in entry.chunks
-        for record in chunk.records(verify=True)
+        for view in entry.chunks
+        for record in decode_records(view.payload_view, verify=True)
     ]
 
 

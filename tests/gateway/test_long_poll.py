@@ -415,7 +415,7 @@ def test_max_wait_zero_is_byte_for_byte_the_old_response(gateway):
     positions, payloads = asyncio.run(run())
     for request_id, payload in zip((41, 42), payloads):
         responses = gateway.cluster.fetch(
-            positions, consumer_id=7, max_chunks_per_entry=16, serve_views=True
+            positions, consumer_id=7, max_chunks_per_entry=16
         )
         assert sum(r.chunk_count for r in responses) > 0
         assert bytes(payload) == _reference_fetch_ok(request_id, responses)

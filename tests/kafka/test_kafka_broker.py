@@ -89,15 +89,6 @@ def test_replica_fetch_respects_response_cap():
     assert len(batches1) == 1 and next1 == 1
 
 
-def test_has_replica_data():
-    core = make_core()
-    items = [ReplicaFetchItem(0, 0, 0)]
-    assert not core.has_replica_data(1, items)
-    produce(core, [batch()])
-    assert core.has_replica_data(1, items)
-    assert not core.has_replica_data(1, [ReplicaFetchItem(0, 0, 1)])
-
-
 def test_consumer_fetch_below_hw_only():
     from repro.kera.messages import FetchPosition, FetchRequest
 

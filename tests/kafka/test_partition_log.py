@@ -49,11 +49,10 @@ def test_acks_release_on_watermark():
     log.append(batch(0))
     log.append(batch(1))
     assert not log.register_ack(2, request_id=7)
-    assert log.pending_acks == 1
     assert log.advance_follower(1, 2) == []
     released = log.advance_follower(2, 2)
     assert released == [7]
-    assert log.pending_acks == 0
+    assert log.advance_follower(2, 2) == []  # released exactly once
 
 
 def test_follower_regression_rejected():

@@ -7,16 +7,20 @@ from repro.common.units import KB
 from repro.replication.config import PolicyMode, ReplicationConfig
 from repro.storage.config import StorageConfig
 from repro.wire.chunk import Chunk
+from repro.wire.record import Record, encode_records
+from repro.wire.views import ChunkView
 from repro.kera.broker import KeraBrokerCore
 from repro.kera.messages import FetchPosition, FetchRequest, ProduceRequest
 
 
-def make_core(r=3, vlogs=2, q=1, on_complete=None, policy=PolicyMode.SHARED):
+def make_core(
+    r=3, vlogs=2, q=1, on_complete=None, policy=PolicyMode.SHARED, materialize=False
+):
     return KeraBrokerCore(
         broker_id=0,
         nodes=[0, 1, 2, 3],
         storage_config=StorageConfig(
-            segment_size=64 * KB, q_active_groups=q, materialize=False
+            segment_size=64 * KB, q_active_groups=q, materialize=materialize
         ),
         replication_config=ReplicationConfig(
             replication_factor=r, vlogs_per_broker=vlogs, policy=policy
@@ -33,6 +37,19 @@ def chunk(stream=1, streamlet=0, producer=0, seq=0, n=5, size=500):
         chunk_seq=seq,
         record_count=n,
         payload_len=size,
+    )
+
+
+def real_chunk(stream=1, streamlet=0, producer=0, seq=0, n=5):
+    payload = encode_records([Record(b"v%d" % i) for i in range(n)])
+    return Chunk(
+        stream_id=stream,
+        streamlet_id=streamlet,
+        producer_id=producer,
+        chunk_seq=seq,
+        record_count=n,
+        payload_len=len(payload),
+        payload=payload,
     )
 
 
@@ -184,11 +201,10 @@ class TestFetchPath:
         seqs = [c.chunk_seq for e in (first.entries + second.entries) for c in e.chunks]
         assert seqs == [0, 1, 2]
 
-    def test_zero_copy_fetch_returns_stored_chunks(self):
+    def test_metadata_only_core_serves_stored_chunks(self):
         from repro.storage.segment import StoredChunk
 
-        core = make_core()
-        core.zero_copy_fetch = True
+        core = make_core()  # materialize=False: no bytes to view
         core.create_stream(1, [0])
         produce(core, [chunk()])
         drain_replication(core)
@@ -201,6 +217,30 @@ class TestFetchPath:
         )
         assert isinstance(response.entries[0].chunks[0], StoredChunk)
         assert response.record_count == 5
+        assert core.fancache.decodes.value == 0
+
+    def test_materialized_core_serves_verified_views_admitted_once(self):
+        core = make_core(materialize=True)
+        core.create_stream(1, [0])
+        produce(core, [real_chunk(seq=i) for i in range(3)])
+        drain_replication(core)
+        request = FetchRequest(
+            request_id=0,
+            consumer_id=0,
+            positions=[FetchPosition(stream_id=1, streamlet_id=0, entry=0)],
+            max_chunks_per_entry=10,
+        )
+        first = core.handle_fetch(request).entries[0].chunks
+        assert [type(c) for c in first] == [ChunkView] * 3
+        assert all(c.verified for c in first)
+        assert [r.value for c in first for r in c.records()] == [
+            b"v%d" % i for _ in range(3) for i in range(5)
+        ]
+        # Re-reading the same chunks is served the same views: each chunk
+        # was admitted (its frame CRC checked) once.
+        again = core.handle_fetch(request).entries[0].chunks
+        assert [id(c) for c in again] == [id(c) for c in first]
+        assert core.fancache.decodes.value == 3
 
 
 def test_q_routing_parallel_entries():

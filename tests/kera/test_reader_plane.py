@@ -6,10 +6,12 @@ import threading
 
 import pytest
 
-from repro.common.errors import ConfigError, OffsetOutOfRangeError
+from repro.common.errors import ChecksumError, ConfigError, OffsetOutOfRangeError
 from repro.common.units import KB
 from repro.replication.config import ReplicationConfig
 from repro.storage.config import StorageConfig
+from repro.wire.chunk import Chunk
+from repro.wire.record import Record, encode_records
 from repro.wire.views import ChunkView
 from repro.kera import (
     InprocKeraCluster,
@@ -68,20 +70,45 @@ def test_poll_views_returns_decode_ready_views():
     assert consumer.stats.records_read == 500
 
 
-def test_poll_views_matches_legacy_drain():
+def test_drain_and_poll_views_share_one_admission_per_chunk():
     cluster = inproc_cluster()
     cluster.create_stream(0, 1)
     produce(cluster, 300)
-    via_views = []
-    viewer = KeraConsumer(cluster, consumer_id=0, stream_ids=[0])
-    while True:
-        views = viewer.poll_views()
-        if not views:
-            break
-        for view in views:
-            via_views.extend(r.value for r in view.records())
-    legacy = [r.value for r in KeraConsumer(cluster, 1, [0]).drain()]
-    assert via_views == legacy
+    cache = cluster.brokers[cluster.leader_of(0, 0)].fancache
+    drained = [r.value for r in KeraConsumer(cluster, 0, [0]).drain()]
+    assert drained == [f"r{i:06d}".encode().ljust(24, b".") for i in range(300)]
+    viewer = KeraConsumer(cluster, 1, [0])
+    views = []
+    while batch := viewer.poll_views():
+        views.extend(batch)
+    assert sum(v.record_count for v in views) == 300
+    # drain() and poll_views() are one read path: the second pass admits
+    # nothing the first did not.
+    assert cache.decodes.value == len(views)
+
+
+@pytest.mark.parametrize("n", [4, 16], ids=["per-record", "uniform-rows"])
+def test_drain_verifies_every_record_checksum(n):
+    cluster = inproc_cluster()
+    cluster.create_stream(0, 1)
+    payload = bytearray(encode_records([Record(b"x" * 24) for _ in range(n)]))
+    payload[0] ^= 0xFF  # first record's header checksum
+    # The chunk CRC is computed over the damaged bytes, so only the
+    # per-record check can tell.
+    bad = Chunk(
+        stream_id=0,
+        streamlet_id=0,
+        producer_id=0,
+        chunk_seq=0,
+        record_count=n,
+        payload_len=len(payload),
+        payload=bytes(payload),
+    )
+    cluster.produce([bad], producer_id=0)
+    (view,) = KeraConsumer(cluster, 0, [0]).poll_views()
+    assert view.verified
+    with pytest.raises(ChecksumError):
+        KeraConsumer(cluster, 1, [0]).drain()
 
 
 def test_fanout_cache_shares_one_decode_across_consumers():

@@ -66,7 +66,7 @@ def consume_by_streamlet(cluster):
     consumer = KeraConsumer(cluster, consumer_id=9, stream_ids=[0])
     got = defaultdict(list)
     while True:
-        chunks = consumer.poll_chunks()
+        chunks = consumer.poll_views()
         if not chunks:
             return dict(got)
         for chunk in chunks:
