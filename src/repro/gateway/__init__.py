@@ -11,8 +11,8 @@ straight out of the broker's fan-out cache.
 * :class:`~repro.gateway.server.GatewayServer` — the front door: one
   event loop on a dedicated thread, per-connection request pipelining
   (each request is its own task; responses correlate by request id, not
-  order), ``StreamWriter`` write coalescing, and blocking cluster calls
-  bridged off the loop;
+  order), one transport call (one ``send()`` while the buffer is empty)
+  per response frame, and blocking cluster calls bridged off the loop;
 * :class:`~repro.gateway.client.AsyncGatewayClient` — the wire client:
   request-id multiplexing over one connection, any number of requests in
   flight;

@@ -14,8 +14,8 @@ block on replication credit or a full pipe. Fetch is **planned on the
 loop**: the broker cores live in this process and plan under a short
 mutex, so an empty response, or one made only of cache hits, is planned,
 encoded and written without leaving the loop thread; a plan that must
-*admit* frames (the boundary CRC + decode of a cache miss) does that on
-a worker and comes back to the loop to write. A fetch that finds nothing
+*admit* frames (the boundary CRC of a cache miss) does that on a worker
+and comes back to the loop to write. A fetch that finds nothing
 and carries ``max_wait_ms`` **parks** — an ``asyncio`` future, no thread
 — until a chunk of one of its streamlets turns durable (the core's
 watcher registry wakes it), its deadline passes, a leader it waits on is
@@ -26,16 +26,21 @@ pool. Concurrency shape per connection:
 * the **reader coroutine** pulls frames and spawns one task per request —
   per-connection pipelining: a slow produce does not block the fetch
   behind it, responses correlate by request id, not arrival order;
-* the **write side** coalesces: each response's parts land in the
-  ``StreamWriter`` buffer under a per-connection lock (frames stay
-  contiguous) and drain lets the transport pack many small responses per
-  syscall.
+* the **write side** makes one transport call per response:
+  :func:`~repro.wire.netframe.write_frame_async` hands the header and
+  every part to ``StreamWriter.writelines`` at once, so a response
+  costs one ``send()`` while the transport's buffer is empty, however
+  many parts it has (CPython 3.11 joins them into one ``bytes`` first,
+  3.12+ sends them as one vectored ``sendmsg``). Slow responses write
+  and drain under a per-connection lock, so drain backpressure reaches
+  the writer task; a produce ack is written from a done callback with
+  no await, so it cannot split another frame either.
 
 Fetch responses are served through the cluster's one read path: the
-chunk-frame memoryviews coming out of the shared fan-out cache are
-handed to the stream writer verbatim — many consumer connections
-polling the same hot chunks hit one cached, CRC-validated frame, and
-the gateway never materializes payload bytes.
+chunk-frame memoryviews coming out of the shared fan-out cache go to
+the transport with the response's small headers — many consumer
+connections polling the same hot chunks hit one cached, CRC-validated
+frame, and the gateway never decodes a record.
 
 Failure containment: a request that raises server-side returns a
 ``GW_ERROR`` frame carrying the message; a connection that sends garbage
@@ -562,9 +567,9 @@ class GatewayServer:
             out_kind, parts = protocol.GW_ERROR, protocol.encode_error(request_id, exc)
         self.stats.bump(requests_served=1)
         async with conn.write_lock:
-            # Parts land contiguously in the writer's buffer; the drain
+            # The frame goes to the transport in one call; the drain
             # inside the lock applies the transport's backpressure to
-            # this response's writer task without interleaving frames.
+            # this response's writer task.
             write_frame_async(conn.writer, out_kind, parts)
             await conn.writer.drain()
 
@@ -580,11 +585,11 @@ class GatewayServer:
 
         The frame handler calls this synchronously on frame receipt, so
         enrollment (and therefore append order) still follows wire order.
-        The response is written from the future's done callback — a
-        single synchronous ``write_frame_async`` with no awaits between
-        parts, so frames never interleave with the locked writers used
-        by the slow paths. Drain is skipped: produce acks are tens of
-        bytes and the client is, by construction, reading acks.
+        The response is written from the future's done callback — one
+        synchronous ``write_frame_async``, one transport call, so frames
+        never interleave with the locked writers used by the slow paths.
+        Drain is skipped: produce acks are tens of bytes and the client
+        is, by construction, reading acks.
         """
         try:
             request_id = protocol.peek_request_id(payload)

@@ -213,13 +213,16 @@ async def read_frame_async(
 def write_frame_async(
     writer: "asyncio.StreamWriter", kind: int, parts: Sequence[BufferPart]
 ) -> int:
-    """Queue one frame on an asyncio stream writer; returns total bytes.
+    """Hand one frame to an asyncio stream writer; returns total bytes.
 
-    Writes land in the transport's output buffer (write coalescing: many
-    small frames per syscall); the caller decides when to ``drain()``.
+    The header and every part go to the transport in one ``writelines``
+    call, so a frame costs one transport call and, while the transport's
+    buffer is empty, one syscall — not one per part. CPython 3.11's
+    selector transport joins the list into one ``bytes`` and ``send()``s
+    it; 3.12+ passes it to one vectored ``sendmsg`` without the join.
+    Either way, whatever the kernel does not take lands in the
+    transport's buffer; the caller decides when to ``drain()``.
     """
     payload_len = sum(len(p) for p in parts)
-    writer.write(pack_frame_header(kind, payload_len))
-    for part in parts:
-        writer.write(part)
+    writer.writelines([pack_frame_header(kind, payload_len), *parts])
     return FRAME_HEADER_SIZE + payload_len

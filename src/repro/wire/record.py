@@ -24,8 +24,8 @@ version-less record with a 90-byte value: 10 bytes of fixed header + 90.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
 from collections.abc import Iterator
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,17 +44,22 @@ _U64 = struct.Struct("<Q")
 _U16 = struct.Struct("<H")
 
 
-@dataclass(frozen=True, slots=True)
-class Record:
+class Record(NamedTuple):
     """An immutable stream record.
 
     ``keys`` is a tuple of byte strings (empty for the non-keyed records
     used throughout the paper's evaluation); ``value`` is the payload.
     ``version`` and ``timestamp`` are optional header attributes.
+
+    A named tuple, so a decoder builds one in a single tuple allocation
+    (no per-field ``__setattr__``). Equality and hashing go by fields
+    and an instance is immutable; the one widening over a frozen
+    dataclass is that a ``Record`` also equals the plain ``(value, keys,
+    version, timestamp)`` tuple and unpacks like one.
     """
 
     value: bytes
-    keys: tuple[bytes, ...] = field(default=())
+    keys: tuple[bytes, ...] = ()
     version: int | None = None
     timestamp: int | None = None
 
@@ -345,7 +350,7 @@ def encode_keyless_values(values: "list[bytes] | tuple[bytes, ...]") -> bytes:
 
     The no-:class:`Record` twin of :func:`encode_records` for the
     paper's benchmark workload: producers stage raw value bytes and
-    batch-encode at chunk-seal time, skipping one dataclass per record.
+    batch-encode at chunk-seal time, skipping one :class:`Record` per record.
     Uniform-length batches take the vectorized path
     (:func:`~repro.common.checksum.crc32c_rows`).
     """

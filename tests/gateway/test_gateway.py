@@ -8,7 +8,9 @@ and a several-dozen-connection concurrency smoke.
 """
 
 import asyncio
+import asyncio.selector_events
 import socket
+import threading
 import time
 
 import pytest
@@ -18,8 +20,11 @@ from repro.common.units import KB, MB
 from repro.replication.config import ReplicationConfig
 from repro.storage.config import StorageConfig
 from repro.gateway import AsyncConsumer, AsyncGatewayClient, AsyncProducer, GatewayServer
+from repro.gateway import protocol
 from repro.gateway.protocol import GatewayError
 from repro.kera import KeraConfig, ThreadedKeraCluster
+from repro.kera.messages import FetchPosition
+from repro.wire.netframe import FRAME_HEADER_SIZE, parse_frame_header
 
 
 @pytest.fixture
@@ -65,6 +70,77 @@ def test_produce_fetch_roundtrip(gateway):
     assert gateway.stats.chunks_in >= 1
     assert gateway.stats.chunks_out >= 1
     assert gateway.stats.errors_returned == 0
+
+
+def test_each_frame_is_one_transport_call_on_both_ends(gateway, monkeypatch):
+    """A frame's header and parts reach the socket transport in one call
+    — one ``send()`` while its buffer is empty — on the gateway's loop
+    and on the client's, however many chunk parts a response carries."""
+    transport = asyncio.selector_events._SelectorSocketTransport
+    calls: list[tuple[str, bytes]] = []
+    nested = threading.local()
+
+    def recording(method, as_bytes):
+        # 3.11's writelines calls write: count the outermost call only.
+        def record(self, data):
+            outer = not getattr(nested, "inside", False)
+            if outer:
+                calls.append((threading.current_thread().name, as_bytes(data)))
+            nested.inside = True
+            try:
+                return method(self, data)
+            finally:
+                nested.inside = not outer
+
+        return record
+
+    monkeypatch.setattr(transport, "write", recording(transport.write, bytes))
+    monkeypatch.setattr(
+        transport, "writelines", recording(transport.writelines, b"".join)
+    )
+    host, port = gateway.address()
+    sent = [b"%05d" % i * 18 for i in range(400)]
+
+    async def run():
+        async with await AsyncGatewayClient.connect(host, port) as client:
+            await client.create_stream(0, 2)
+            producer = await AsyncProducer.open(client, 1, stream_id=0)
+            for value in sent:
+                producer.send(value)
+            await producer.close()
+            q_active, _, streamlets = await client.meta(0)
+            positions = [
+                FetchPosition(stream_id=0, streamlet_id=streamlet, entry=entry)
+                for streamlet in streamlets
+                for entry in range(q_active)
+            ]
+            got, chunks_per_entry = [], []
+            while True:
+                entries = await client.fetch(
+                    positions, consumer_id=7, max_chunks_per_entry=4, max_wait=0
+                )
+                positions = [following for _, following, _ in entries]
+                if not any(chunks for _, _, chunks in entries):
+                    return got, chunks_per_entry
+                chunks_per_entry.extend(len(chunks) for _, _, chunks in entries)
+                for _, _, chunks in entries:
+                    for chunk in chunks:
+                        got.extend(chunk.records())
+
+    got, chunks_per_entry = asyncio.run(run())
+    # Responses carry several entries of several chunk parts each.
+    assert sum(n >= 2 for n in chunks_per_entry) >= 4
+    assert sorted(r.value for r in got) == sorted(sent)
+    assert all(not r.keys and r.version is None and r.timestamp is None for r in got)
+
+    client_thread = threading.current_thread().name
+    kinds: dict[str, list[int]] = {"gateway-loop": [], client_thread: []}
+    for thread, data in calls:
+        kind, length = parse_frame_header(data, max_frame_bytes=1 << 30)
+        assert len(data) == FRAME_HEADER_SIZE + length, (thread, kind, len(data))
+        kinds.setdefault(thread, []).append(kind)
+    assert kinds["gateway-loop"].count(protocol.GW_FETCH_OK) >= 2
+    assert kinds[client_thread].count(protocol.GW_FETCH) >= 2
 
 
 def test_pipelined_requests_multiplex_one_connection(gateway):

@@ -247,16 +247,31 @@ def test_read_frame_async_garbage_raises():
 
 def test_write_frame_async_matches_blocking_layout():
     class SinkWriter:
+        """Counts transport calls: each one may cost a ``send()``."""
+
         def __init__(self):
             self.data = bytearray()
+            self.calls = 0
 
         def write(self, b):
+            self.calls += 1
             self.data += b
+
+        def writelines(self, parts):
+            self.calls += 1
+            for b in parts:
+                self.data += b
 
     sink = SinkWriter()
     total = write_frame_async(sink, 8, [b"ab", memoryview(b"cd")])
     assert total == FRAME_HEADER_SIZE + 4
     assert bytes(sink.data) == _frame_bytes(8, b"abcd")
+    # Header plus parts reach the writer in one call, whatever the count.
+    assert sink.calls == 1
+    sink = SinkWriter()
+    write_frame_async(sink, 9, [bytes([i]) * 3 for i in range(40)])
+    assert sink.calls == 1
+    assert bytes(sink.data) == _frame_bytes(9, b"".join(bytes([i]) * 3 for i in range(40)))
 
 
 def test_magic_spells_kfrm():

@@ -50,6 +50,48 @@ def test_key_accessor():
     assert Record(value=b"v", keys=(b"k1", b"k2")).key == b"k1"
 
 
+def test_keyword_construction_and_defaults():
+    record = Record(value=b"v")
+    assert (record.value, record.keys, record.version, record.timestamp) == (
+        b"v",
+        (),
+        None,
+        None,
+    )
+    full = Record(value=b"v", keys=(b"k",), version=7, timestamp=9)
+    assert (full.value, full.keys, full.version, full.timestamp) == (b"v", (b"k",), 7, 9)
+    assert Record(b"v", (b"k",), 7, 9) == full
+
+
+def test_equality_and_hash_are_by_fields():
+    a = Record(value=b"v", keys=(b"k",), version=1, timestamp=2)
+    b = Record(value=bytes(b"v"), keys=(b"k",), version=1, timestamp=2)
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    for other in (
+        Record(value=b"w", keys=(b"k",), version=1, timestamp=2),
+        Record(value=b"v", keys=(), version=1, timestamp=2),
+        Record(value=b"v", keys=(b"k",), version=None, timestamp=2),
+        Record(value=b"v", keys=(b"k",), version=1, timestamp=3),
+    ):
+        assert a != other
+
+
+def test_encoded_size_counts_every_optional_field():
+    assert Record(value=b"").encoded_size() == RECORD_FIXED_HEADER
+    record = Record(value=b"abc", keys=(b"k1", b"key2"), version=1, timestamp=2)
+    assert record.encoded_size() == RECORD_FIXED_HEADER + 3 + 8 + 8 + 2 * 2 + 6
+    assert record.encoded_size() == len(encode_record(record))
+
+
+@pytest.mark.parametrize("field", ["value", "keys", "version", "timestamp"])
+def test_record_is_immutable(field):
+    record = Record(value=b"v")
+    with pytest.raises(AttributeError):
+        setattr(record, field, b"other")
+    assert record == Record(value=b"v")
+
+
 @given(records_strategy.filter(lambda r: r.encoded_size() > 4))
 def test_corruption_detected(record):
     # Flipping any post-checksum byte must be detected — either as a
